@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import perm as P
-from .errors import RankNotFour
-from .groups import FiniteGroup
+from .errors import BraidInvariantBroken, ClassListEscape, RankNotFour
+from .groups import FiniteGroup, orbit_of, partition_orbits
 from .nielsen import (
     CanonicalContext,
     InnerClass,
@@ -52,11 +52,13 @@ def apply_braid(bg: NielsenTuple, word: BraidWord) -> NielsenTuple:
     """Twist the tuple by the word; product and class multiset are preserved."""
     group = bg.group
     out = apply_braid_ids(group, bg.ids, word)
-    assert group.word(out) == group.word(bg.ids), "braid broke the product"
+    if group.word(out) != group.word(bg.ids):
+        raise BraidInvariantBroken("braid broke the product")
     ctx = canonical_context(group)
-    assert sorted(ctx.class_min(x) for x in out) == sorted(
+    if sorted(ctx.class_min(x) for x in out) != sorted(
         ctx.class_min(x) for x in bg.ids
-    ), "braid broke the class multiset"
+    ):
+        raise BraidInvariantBroken("braid broke the class multiset")
     return NielsenTuple(group, out)
 
 
@@ -69,25 +71,19 @@ def _q13inv_ids(group: FiniteGroup, ids: tuple[int, ...]) -> tuple[int, ...]:
     return _twist(group, _twist(group, ids, 0, +1), 2, -1)
 
 
+def _q2_moves(group: FiniteGroup, ctx: CanonicalContext):
+    """Generators of Q'' on inner canonicals: sh^2 and q1 q3^-1."""
+    return lambda t: (
+        ctx.canon(_shift_ids(_shift_ids(t))),
+        ctx.canon(_q13inv_ids(group, t)),
+    )
+
+
 def q2_variants(
     group: FiniteGroup, ctx: CanonicalContext, canon: tuple[int, ...]
 ) -> frozenset[tuple[int, ...]]:
     """Inner canonicals of the Q''-orbit through the given inner class."""
-    out = {canon}
-    frontier = [canon]
-    while frontier:
-        new = []
-        for t in frontier:
-            for u in (
-                _shift_ids(_shift_ids(t)),
-                _q13inv_ids(group, t),
-            ):
-                cu = ctx.canon(u)
-                if cu not in out:
-                    out.add(cu)
-                    new.append(cu)
-        frontier = new
-    return frozenset(out)
+    return frozenset(orbit_of(canon, _q2_moves(group, ctx)))
 
 
 @dataclass(frozen=True)
@@ -112,29 +108,22 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
     group = inner[0].group
     if len(inner[0].canonical) != 4:
         raise RankNotFour("reduced classes are defined for r = 4 only")
-    ctx = canonical_context(group)
     by_canon = {cls.canonical: cls for cls in inner}
-    unseen = set(by_canon)
-    out = []
-    while unseen:
-        start = min(unseen)
-        orbit = q2_variants(group, ctx, start)
-        missing = orbit - set(by_canon)
-        if missing:
-            raise AssertionError("Q'' left the supplied inner class list")
-        unseen -= orbit
-        members = tuple(sorted(orbit))
-        out.append(
-            ReducedClass(
-                group,
-                members[0],
-                members,
-                sum(by_canon[t].orbit_size for t in members),
-                len(members),
-            )
+    orbits = partition_orbits(
+        by_canon,
+        _q2_moves(group, canonical_context(group)),
+        ClassListEscape("Q'' left the supplied inner class list"),
+    )
+    return [
+        ReducedClass(
+            group,
+            members[0],
+            tuple(members),
+            sum(by_canon[t].orbit_size for t in members),
+            len(members),
         )
-    out.sort(key=lambda c: c.canonical)
-    return out
+        for members in orbits
+    ]
 
 
 def reduced_canonical(
@@ -144,23 +133,24 @@ def reduced_canonical(
 
 
 class BraidOrbit:
-    """Orbit of <gamma_inf, gamma_1> on reduced classes (one component)."""
+    """Orbit of <gamma_inf, gamma_1> on reduced classes (one component).
 
-    def __init__(self, group: FiniteGroup, classes: Sequence[ReducedClass]):
+    The classes come sorted by canonical; gamma_inf and gamma_1 index them.
+    """
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        classes: Sequence[ReducedClass],
+        gamma_inf: Perm,
+        gamma_1: Perm,
+    ):
         self.group = group
-        self.classes = tuple(sorted(classes, key=lambda c: c.canonical))
+        self.classes = tuple(classes)
         self.members = tuple(c.canonical for c in self.classes)
         self._index = {t: i for i, t in enumerate(self.members)}
-        ctx = canonical_context(group)
-        n = len(self.members)
-        self.gamma_inf: Perm = tuple(
-            self._index[reduced_canonical(group, ctx, _twist(group, t, 1, +1))]
-            for t in self.members
-        )
-        self.gamma_1: Perm = tuple(
-            self._index[reduced_canonical(group, ctx, _shift_ids(t))]
-            for t in self.members
-        )
+        self.gamma_inf: Perm = tuple(gamma_inf)
+        self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
 
     @property
@@ -182,38 +172,44 @@ class BraidOrbit:
 
 
 def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
-    """Partition reduced classes into components; deterministic order."""
+    """Partition reduced classes into components; deterministic order.
+
+    gamma_inf = q2 and gamma_1 = sh are tabled once over all reduced
+    classes, one canonicalization per move, through the inner canonical
+    -> reduced index map; components are the orbits of the two arrays.
+    """
     if not reduced:
         return []
     group = reduced[0].group
     if len(reduced[0].canonical) != 4:
         raise RankNotFour("braid orbits on reduced classes need r = 4")
     ctx = canonical_context(group)
-    by_canon = {c.canonical: c for c in reduced}
-    unseen = set(by_canon)
+    reduced = sorted(reduced, key=lambda c: c.canonical)
+    index = {t: i for i, c in enumerate(reduced) for t in c.inner_canonicals}
+
+    def target(ids: tuple[int, ...]) -> int:
+        i = index.get(ctx.canon(ids))
+        if i is None:
+            raise ClassListEscape("braid action left the reduced class list")
+        return i
+
+    gamma_inf = [target(_twist(group, c.canonical, 1, +1)) for c in reduced]
+    gamma_1 = [target(_shift_ids(c.canonical)) for c in reduced]
     orbits = []
-    while unseen:
-        start = min(unseen)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for t in frontier:
-                for u in (
-                    reduced_canonical(group, ctx, _twist(group, t, 1, +1)),
-                    reduced_canonical(group, ctx, _shift_ids(t)),
-                ):
-                    if u not in seen:
-                        if u not in by_canon:
-                            raise AssertionError(
-                                "braid action left the reduced class list"
-                            )
-                        seen.add(u)
-                        new.append(u)
-            frontier = new
-        unseen -= seen
-        orbits.append(BraidOrbit(group, [by_canon[t] for t in seen]))
-    orbits.sort(key=lambda o: (-o.size, o.members[0]))
+    for members in partition_orbits(
+        range(len(reduced)), lambda i: (gamma_inf[i], gamma_1[i])
+    ):
+        local = {g: j for j, g in enumerate(members)}
+        orbits.append(
+            BraidOrbit(
+                group,
+                [reduced[g] for g in members],
+                [local[gamma_inf[g]] for g in members],
+                [local[gamma_1[g]] for g in members],
+            )
+        )
+    # stable: equal sizes keep the order of their least member
+    orbits.sort(key=lambda o: -o.size)
     return orbits
 
 
@@ -238,28 +234,15 @@ def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[H3Orbit]:
         raise ValueError("H3 orbit mode needs r = 3")
     ctx = canonical_context(group)
     by_canon = {c.canonical: c for c in inner}
-    unseen = set(by_canon)
-    orbits = []
-    while unseen:
-        start = min(unseen)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for t in frontier:
-                for word_pos in (0, 1):
-                    u = ctx.canon(_twist(group, t, word_pos, +1))
-                    if u not in seen:
-                        if u not in by_canon:
-                            raise AssertionError(
-                                "braid action left the inner class list"
-                            )
-                        seen.add(u)
-                        new.append(u)
-            frontier = new
-        unseen -= seen
-        orbits.append(H3Orbit(group, [by_canon[t] for t in seen]))
-    orbits.sort(key=lambda o: (-o.size, o.members[0]))
+    orbits = [
+        H3Orbit(group, [by_canon[t] for t in members])
+        for members in partition_orbits(
+            by_canon,
+            lambda t: (ctx.canon(_twist(group, t, pos, +1)) for pos in (0, 1)),
+            ClassListEscape("braid action left the inner class list"),
+        )
+    ]
+    orbits.sort(key=lambda o: -o.size)
     return orbits
 
 
@@ -272,31 +255,17 @@ def absolute_reduced_classes(
     group = reduced[0].group
     ctx = canonical_context(group)
     by_canon = {c.canonical: c for c in reduced}
-    unseen = set(by_canon)
-    buckets = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for t in frontier:
-                for a in autos:
-                    u = reduced_canonical(
-                        group, ctx, tuple(a.apply_id(x) for x in t)
-                    )
-                    if u not in orbit:
-                        if u not in by_canon:
-                            raise AssertionError(
-                                "automorphism left the reduced class list"
-                            )
-                        orbit.add(u)
-                        new.append(u)
-            frontier = new
-        unseen -= orbit
-        buckets.append([by_canon[t] for t in sorted(orbit)])
-    buckets.sort(key=lambda b: b[0].canonical)
-    return buckets
+    return [
+        [by_canon[t] for t in members]
+        for members in partition_orbits(
+            by_canon,
+            lambda t: (
+                reduced_canonical(group, ctx, tuple(a.apply_id(x) for x in t))
+                for a in autos
+            ),
+            ClassListEscape("automorphism left the reduced class list"),
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from importlib import resources
 from math import lcm
 
 from . import perm as P
-from .braid import BraidOrbit, CuspOrbit, cusp_orbits, q2_variants
+from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_orbits
 from .errors import (
     ClosureExceedsCap,
     FormulaMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     NonIntegralGenus,
     RankNotFour,
 )
-from .groups import generate
+from .groups import generate, orbit_of
 from .lifting import (
     CentralExtension,
     LiftInvariant,
@@ -134,13 +134,12 @@ class CuspType:
         return f"{self.kind} (mp={self.mp}){tail}"
 
 
-def _is_hm_ids(group, ids: tuple[int, ...]) -> bool:
+def _is_hm(group, cls: ReducedClass) -> bool:
+    """Some inner class in the reduced class has the H-M shape (g, g^-1, h, h^-1)."""
     inv = group.inv
-    return ids[1] == inv[ids[0]] and ids[3] == inv[ids[2]]
-
-
-def _reduced_class_is_hm(group, ctx, canon: tuple[int, ...]) -> bool:
-    return any(_is_hm_ids(group, t) for t in q2_variants(group, ctx, canon))
+    return any(
+        t[1] == inv[t[0]] and t[3] == inv[t[2]] for t in cls.inner_canonicals
+    )
 
 
 def classify_cusp(
@@ -160,11 +159,13 @@ def classify_cusp(
             pair_order[key] = len(group.subgroup_closure(key))
         return pair_order[key]
 
+    orbit = cusp.orbit
     kinds = set()
     mps = set()
     is_hm = False
     is_shift = False
     for ids in cusp.member_canonicals:
+        i = orbit.index_of(ids)
         g1, g2, g3, g4 = ids
         mp = orders[group.mul(g2, g3)]
         mps.add(mp)
@@ -177,20 +178,18 @@ def classify_cusp(
             kinds.add(G_PRIME)
         else:
             kinds.add(O_PRIME)
-        if _reduced_class_is_hm(group, ctx, ids):
-            is_hm = True
-        shifted = min(
-            q2_variants(group, ctx, ctx.canon(ids[1:] + ids[:1]))
-        )
-        if _reduced_class_is_hm(group, ctx, shifted):
-            is_shift = True
+        is_hm = is_hm or _is_hm(group, orbit.classes[i])
+        is_shift = is_shift or _is_hm(group, orbit.classes[orbit.gamma_1[i]])
     if len(kinds) != 1:
         raise InconsistentType(
             f"cusp members disagree on the type: {sorted(kinds)}"
         )
     kind = kinds.pop()
     # the middle product order is conjugation/Q''/gamma_inf invariant
-    assert len(mps) == 1, mps
+    if len(mps) != 1:
+        raise InconsistentType(
+            f"cusp members disagree on the middle product order: {sorted(mps)}"
+        )
     mp = mps.pop()
     weigel: bool | None = None
     factorization: PairFactorization | None = None
@@ -302,17 +301,7 @@ def cover_genus(n: int, entries) -> int:
     perms = entries.perms if isinstance(entries, NielsenTuple) else tuple(entries)
     if any(len(g) != n for g in perms):
         raise ValueError("entries must act on n points")
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in perms:
-                if g[x] not in orbit:
-                    orbit.add(g[x])
-                    new.append(g[x])
-        frontier = new
-    if len(orbit) != n:
+    if len(orbit_of(0, lambda x: (g[x] for g in perms))) != n:
         raise ValueError("branch cycles are not transitive")
     total = sum(P.index(g) for g in perms)
     num = total - 2 * (n - 1)
@@ -408,7 +397,6 @@ def congruence_screen(
     """
     widths = sorted(c.width for c in cusp_orbits(orbit))
     level = lcm(*widths)
-    assert all(level % w == 0 for w in widths)
     table = modular_curve_table()
     candidates = [
         e

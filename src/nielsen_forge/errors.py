@@ -65,6 +65,18 @@ class NegativeGenus(ForgeError):
     code = 24
 
 
+class ClassListEscape(ForgeError):
+    """A Q'', braid or automorphism image fell outside the supplied class list."""
+
+    code = 25
+
+
+class BraidInvariantBroken(ForgeError):
+    """A braid move changed the product or the class multiset; never expected."""
+
+    code = 26
+
+
 class OrderNotPrime(ForgeError):
     """Element order is divisible by p where a p' element is required."""
 

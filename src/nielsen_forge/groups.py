@@ -56,6 +56,38 @@ def close_under_product(
     return sorted(seen)
 
 
+def orbit_of(start, moves, keys=None, escape: Exception | None = None) -> set:
+    """Closure of {start} under moves(t); an image outside keys raises escape."""
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for t in frontier:
+            for u in moves(t):
+                if u not in orbit:
+                    if keys is not None and u not in keys:
+                        raise escape
+                    orbit.add(u)
+                    new.append(u)
+        frontier = new
+    return orbit
+
+
+def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list]:
+    """Orbits of moves on keys, each sorted, in order of least member.
+
+    The sorted keys are visited once; members of earlier orbits are skipped.
+    """
+    seen: set = set()
+    out = []
+    for start in sorted(keys):
+        if start not in seen:
+            orbit = orbit_of(start, moves, keys, escape)
+            seen |= orbit
+            out.append(sorted(orbit))
+    return out
+
+
 class FiniteGroup:
     """Generators plus the full, lexicographically sorted element table."""
 

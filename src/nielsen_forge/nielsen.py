@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ClassNotPreserved, ConfigError, NotAnAutomorphism
-from .groups import ConjClass, FiniteGroup, GroupHom
+from .groups import ConjClass, FiniteGroup, GroupHom, orbit_of, partition_orbits
 from .perm import Perm
 
 MAX_RANK = 8
@@ -271,18 +271,10 @@ def enumerate_nielsen(group: FiniteGroup, C: ClassMultiset) -> list[NielsenTuple
 def _conjugation_orbit(
     group: FiniteGroup, ids: tuple[int, ...]
 ) -> set[tuple[int, ...]]:
-    out = {ids}
-    frontier = [ids]
-    while frontier:
-        new = []
-        for t in frontier:
-            for gid in group.generator_ids:
-                u = tuple(group.conj(x, gid) for x in t)
-                if u not in out:
-                    out.add(u)
-                    new.append(u)
-        frontier = new
-    return out
+    return orbit_of(
+        ids,
+        lambda t: (tuple(group.conj(x, g) for x in t) for g in group.generator_ids),
+    )
 
 
 def inner_classes(tuples: Sequence[NielsenTuple]) -> list[InnerClass]:
@@ -318,17 +310,23 @@ def nielsen_inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerCla
     ctx = canonical_context(group)
     found: dict[tuple[int, ...], int] = {}
     gen_cache: dict[frozenset[int], bool] = {}
+
+    def cached_generates(key: frozenset[int]) -> bool:
+        ok = gen_cache.get(key)
+        if ok is None:
+            ok = gen_cache[key] = generates(group, key)
+        return ok
+
     for pattern in _patterns(C):
         m = pattern[0].member_ids[0]
         first_class_size = pattern[0].size
         cent = ctx.conjugators_to_min(m)  # centralizer of m (transporter = id)
         for ids in _product_one_candidates(group, pattern, (m,)):
-            key = frozenset(ids)
-            ok = gen_cache.get(key)
-            if ok is None:
-                ok = generates(group, ids)
-                gen_cache[key] = ok
-            if not ok:
+            # a tuple generates if one pair (m, x) does; the pair closures
+            # are few and shared, so the full test is the fallback
+            if not any(
+                cached_generates(frozenset((m, x))) for x in ids[1:]
+            ) and not cached_generates(frozenset(ids)):
                 continue
             canon = ctx.canon(ids)
             if canon in found:
@@ -373,29 +371,14 @@ def absolute_classes(
                     "automorphism does not preserve the class multiset"
                 )
     by_canon = {cls.canonical: cls for cls in classes}
-    unseen = set(by_canon)
-    buckets = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for t in frontier:
-                for a in autos:
-                    u = ctx.canon(tuple(a.apply_id(x) for x in t))
-                    if u not in orbit:
-                        if u not in by_canon:
-                            raise ClassNotPreserved(
-                                "automorphism leads outside the class list"
-                            )
-                        orbit.add(u)
-                        new.append(u)
-            frontier = new
-        unseen -= orbit
-        buckets.append([by_canon[t] for t in sorted(orbit)])
-    buckets.sort(key=lambda b: b[0].canonical)
-    return buckets
+    return [
+        [by_canon[t] for t in members]
+        for members in partition_orbits(
+            by_canon,
+            lambda t: (ctx.canon(tuple(a.apply_id(x) for x in t)) for a in autos),
+            ClassNotPreserved("automorphism leads outside the class list"),
+        )
+    ]
 
 
 def check_rationality(C: ClassMultiset, n: int) -> bool:

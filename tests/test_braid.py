@@ -187,3 +187,127 @@ def test_braid_commutes_with_conjugation():
         for h in range(A4.order):
             conj = NielsenTuple(A4, tuple(A4.conj(x, h) for x in t.ids))
             assert ctx.canon(apply_braid(conj, [(2, 1)]).ids) == base
+
+
+TABLE_CASES = [
+    ("A(4)", "3+:2,3-:2", 2),
+    ("A(5)", "3:4", 2),
+    ("D(9)", "2:4", 3),
+    ("V2xPM(5)", "2:4", 5),
+    ("S(4)", "(1 2):2,(1 2 3):2", 2),
+]
+
+
+def _case_orbits(spec, classes):
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.presets import group_from_string
+
+    G, _ = group_from_string(spec)
+    inner = nielsen_inner_classes(G, parse_class_selector(G, classes))
+    return G, braid_orbits(reduced_classes(inner))
+
+
+@pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
+def test_braid_table_matches_per_move_canonicals(spec, classes, p):
+    from nielsen_forge.braid import _shift_ids, _twist, reduced_canonical
+    from nielsen_forge.nielsen import canonical_context
+
+    G, orbits = _case_orbits(spec, classes)
+    ctx = canonical_context(G)
+    for o in orbits:
+        for i, t in enumerate(o.members):
+            assert o.members[o.gamma_inf[i]] == reduced_canonical(
+                G, ctx, _twist(G, t, 1, +1)
+            )
+            assert o.members[o.gamma_1[i]] == reduced_canonical(
+                G, ctx, _shift_ids(t)
+            )
+
+
+@pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
+def test_cusp_hm_flags_match_q2_definition(spec, classes, p):
+    from nielsen_forge.braid import q2_variants
+    from nielsen_forge.cusps import classify_cusp
+    from nielsen_forge.nielsen import canonical_context
+
+    G, orbits = _case_orbits(spec, classes)
+    ctx = canonical_context(G)
+
+    def is_hm(canon):
+        return any(
+            t[1] == G.inv[t[0]] and t[3] == G.inv[t[2]]
+            for t in q2_variants(G, ctx, canon)
+        )
+
+    for o in orbits:
+        for cusp in cusp_orbits(o):
+            ctype = classify_cusp(cusp, p)
+            members = cusp.member_canonicals
+            assert ctype.is_hm == any(is_hm(t) for t in members)
+            assert ctype.is_shift_of_hm == any(
+                is_hm(min(q2_variants(G, ctx, ctx.canon(t[1:] + t[:1]))))
+                for t in members
+            )
+
+
+def test_reduction_and_orbits_canonicalize_a_bounded_number_of_times(monkeypatch):
+    # one Q'' closure per inner class and one canonicalization per braid
+    # move: at most 8 canon calls per inner class, whatever the level
+    from nielsen_forge.nielsen import CanonicalContext
+
+    D25 = dihedral(25)
+    inv = [c for c in D25.conjugacy_classes() if c.element_order == 2][0]
+    inner = nielsen_inner_classes(D25, ClassMultiset([(inv, 4)]))
+    calls = []
+    canon = CanonicalContext.canon
+
+    def counted(ctx, ids):
+        calls.append(1)
+        return canon(ctx, ids)
+
+    monkeypatch.setattr(CanonicalContext, "canon", counted)
+    orbits = braid_orbits(reduced_classes(inner))
+    assert [o.size for o in orbits] == [len(inner)]
+    assert len(calls) <= 8 * len(inner)
+
+
+def test_q2_escape_raises_typed_error():
+    from nielsen_forge.errors import ClassListEscape
+
+    _, _, inner = _a4_setup()  # every Q''-orbit has length 2 here
+    with pytest.raises(ClassListEscape) as err:
+        reduced_classes(inner[:1])
+    assert err.value.code == 25
+
+
+def test_braid_invariant_check_survives_optimize():
+    # a braid that breaks the product raises even under python -O, which
+    # strips assert statements
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import nielsen_forge.braid as B
+from nielsen_forge.errors import BraidInvariantBroken
+from nielsen_forge.nielsen import NielsenTuple
+from nielsen_forge.presets import alternating
+A4 = alternating(4)
+x = A4.conjugacy_classes()[1].member_ids[0]
+B.apply_braid_ids = lambda group, ids, word: (group.identity_id,) + ids[1:]
+try:
+    B.apply_braid(NielsenTuple(A4, (x, A4.inv[x], x, A4.inv[x])), [(2, 1)])
+except BraidInvariantBroken as exc:
+    print("raised", exc.code)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised 26"

@@ -12,7 +12,14 @@ from nielsen_forge.nielsen import (
     inner_classes,
     nielsen_inner_classes,
 )
-from nielsen_forge.presets import alternating, dihedral, gl2_automorphisms, v2_pm
+from nielsen_forge.config import parse_class_selector
+from nielsen_forge.presets import (
+    alternating,
+    dihedral,
+    gl2_automorphisms,
+    group_from_string,
+    v2_pm,
+)
 
 
 def _a4_classes():
@@ -78,6 +85,42 @@ def test_enumerate_matches_fast_inner_path():
     fast53 = nielsen_inner_classes(A5, C53)
     assert [c.canonical for c in slow53] == [c.canonical for c in fast53]
     assert [c.orbit_size for c in slow53] == [c.orbit_size for c in fast53]
+
+
+@pytest.mark.parametrize(
+    "spec, classes, fallback_generates",
+    [
+        ("D(25)", "2:4", False),
+        # two involutions generate a dihedral group, never all of V2xPM(3)
+        ("V2xPM(3)", "2:4", True),
+        ("S(4)", "(1 2):2,(1 2 3):2", False),
+    ],
+)
+def test_pair_closure_shortcut_matches_full_enumeration(
+    monkeypatch, spec, classes, fallback_generates
+):
+    import nielsen_forge.nielsen as N
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    calls = []
+    full = N.generates
+
+    def recorded(group, ids):
+        ok = full(group, ids)
+        calls.append((len(set(ids)), ok))
+        return ok
+
+    monkeypatch.setattr(N, "generates", recorded)
+    fast = nielsen_inner_classes(G, C)
+    monkeypatch.undo()
+    slow = inner_classes(enumerate_nielsen(G, C))
+    assert [c.canonical for c in fast] == [c.canonical for c in slow]
+    assert [c.orbit_size for c in fast] == [c.orbit_size for c in slow]
+    # the full test ran on tuples that no pair (m, x) generates
+    fallbacks = [ok for size, ok in calls if size > 2]
+    assert fallbacks
+    assert any(fallbacks) == fallback_generates
 
 
 def test_nielsen_tuple_invariants_hold():
