@@ -152,6 +152,7 @@ class BraidOrbit:
         self.gamma_inf: Perm = tuple(gamma_inf)
         self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
+        self._cusps: tuple[CuspOrbit, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -284,11 +285,15 @@ class CuspOrbit:
         return self.orbit.group
 
 
-def cusp_orbits(orbit: BraidOrbit) -> list[CuspOrbit]:
-    """gamma_inf cycles, each one cusp; ordered by least member canonical."""
-    out = []
-    for cyc in P.cycles(orbit.gamma_inf):
-        members = tuple(sorted(orbit.members[i] for i in cyc))
-        out.append(CuspOrbit(orbit, members))
-    out.sort(key=lambda c: c.member_canonicals[0])
-    return out
+def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
+    """gamma_inf cycles, each one cusp; ordered by least member canonical.
+
+    Computed once per orbit and kept on it.
+    """
+    if orbit._cusps is None:
+        cusps = (
+            CuspOrbit(orbit, tuple(sorted(orbit.members[i] for i in cyc)))
+            for cyc in P.cycles(orbit.gamma_inf)
+        )
+        orbit._cusps = tuple(sorted(cusps, key=lambda c: c.member_canonicals[0]))
+    return orbit._cusps

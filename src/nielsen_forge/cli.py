@@ -2,14 +2,14 @@
 
 Subcommands: report, orbits, cusps, shinc, genus, classify, lift, screen,
 tower, frattini, jennings, verify.  A config file supplies defaults via
-'key = value' lines; flags override.  NIELSEN_FORGE_CAP overrides the
-closure cap.
+'key = value' lines; flags override.  --cap bounds the closures that
+build this run's groups; without it NIELSEN_FORGE_CAP, or the default,
+applies.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import RunConfig, load_config_file, parse_class_selector
@@ -46,7 +46,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r3", action="store_true", help="H3 orbit mode for r = 3")
     sub.add_argument("--format", dest="fmt", help="md, json, or csv")
     sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--jobs", type=int, help="worker threads for per-orbit work")
     sub.add_argument("--cap", type=int, help="group-order closure cap")
 
 
@@ -111,10 +110,11 @@ def _pipeline(cfg: RunConfig):
         raise ConfigError("missing --classes")
     if not cfg.prime:
         raise ConfigError("missing --prime")
-    group, _bundled = group_from_string(cfg.group)
+    cap = cfg.cap or None
+    group, _bundled = group_from_string(cfg.group, cap)
     extension = None
     if cfg.extension:
-        extension = extension_from_string(cfg.extension, group)
+        extension = extension_from_string(cfg.extension, group, cap)
         if not same_group(extension.G, group):
             raise ConfigError(
                 f"extension {cfg.extension} does not cover group {cfg.group}"
@@ -127,7 +127,6 @@ def _pipeline(cfg: RunConfig):
         cfg.prime,
         extension,
         r3=cfg.r3 or C.r == 3,
-        jobs=max(1, cfg.jobs),
     )
 
 
@@ -172,8 +171,6 @@ def _focused_markdown(command: str, result) -> str:
 
 def _cmd_pipeline(command: str, args) -> int:
     cfg = _load_config(args)
-    if cfg.cap:
-        os.environ["NIELSEN_FORGE_CAP"] = str(cfg.cap)
     result = _pipeline(cfg)
     fmt = cfg.fmt or "md"
     if command == "report" or fmt in ("json", "csv"):
@@ -186,16 +183,16 @@ def _cmd_pipeline(command: str, args) -> int:
 
 def _cmd_tower(args) -> int:
     cfg = _load_config(args)
-    if cfg.cap:
-        os.environ["NIELSEN_FORGE_CAP"] = str(cfg.cap)
     if not cfg.chain:
         raise ConfigError("missing --chain")
     if not cfg.classes or not cfg.prime:
         raise ConfigError("tower needs --classes and --prime")
-    base, homs = chain_from_specs([s.strip() for s in cfg.chain.split(",")])
+    base, homs = chain_from_specs(
+        [s.strip() for s in cfg.chain.split(",")], cfg.cap or None
+    )
     C = parse_class_selector(base, cfg.classes)
     chain = [LevelMap(h, cfg.prime) for h in homs]
-    graph = build_graph(chain, C, cfg.prime, jobs=max(1, cfg.jobs))
+    graph = build_graph(chain, C, cfg.prime)
     if cfg.dot:
         with open(cfg.dot, "w") as fh:
             fh.write(graph.to_dot())
@@ -222,15 +219,15 @@ def _cmd_frattini(args) -> int:
     cfg = _load_config(args)
     if not cfg.cover:
         raise ConfigError("missing --cover")
-    text = cfg.cover.strip()
+    text, cap = cfg.cover.strip(), cfg.cap or None
     if text.startswith("split:"):
         _, group_spec, p_text = text.split(":")
-        group, _ = group_from_string(group_spec)
-        proj = direct_product_with_cyclic(group, int(p_text))
+        group, _ = group_from_string(group_spec, cap)
+        proj = direct_product_with_cyclic(group, int(p_text), cap)
         verdict = is_frattini_cover(proj)
         label = f"{group.name} x Z/{p_text} -> {group.name}"
     else:
-        ext = extension_from_string(text)
+        ext = extension_from_string(text, cap=cap)
         verdict = is_frattini_cover(ext.proj)
         label = f"{ext.R.name} -> {ext.G.name}"
     print(f"{label}: {'Frattini' if verdict else 'not Frattini'}")

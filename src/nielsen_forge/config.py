@@ -83,7 +83,6 @@ class RunConfig:
     fmt: str = "md"
     out: str = ""
     dot: str = ""
-    jobs: int = 1
     cap: int = 0
     r3: bool = False
     cover: str = ""
@@ -97,7 +96,7 @@ class RunConfig:
         return self
 
 
-_INT_KEYS = {"prime", "jobs", "cap", "n"}
+_INT_KEYS = {"prime", "cap", "n"}
 _BOOL_KEYS = {"r3"}
 
 

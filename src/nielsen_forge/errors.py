@@ -77,6 +77,18 @@ class BraidInvariantBroken(ForgeError):
     code = 26
 
 
+class PresetOrderMismatch(ForgeError):
+    """A preset group closed to the wrong order; never expected."""
+
+    code = 27
+
+
+class ConventionBroken(ForgeError):
+    """The permutation product convention failed its import-time check."""
+
+    code = 28
+
+
 class OrderNotPrime(ForgeError):
     """Element order is divisible by p where a p' element is required."""
 

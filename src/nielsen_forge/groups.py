@@ -150,6 +150,7 @@ class FiniteGroup:
                             table[a][b] = col[table[a][c]]
             frontier = new
         self._mul = table
+        self.inv  # conj reads _inv whenever the table exists
 
     def mul(self, a: int, b: int) -> int:
         if self._mul is None and not self._mul_attempted:
@@ -181,6 +182,9 @@ class FiniteGroup:
 
     def conj(self, x: int, h: int) -> int:
         """ID of the word h * x * h^-1."""
+        tab = self._mul
+        if tab is not None:
+            return tab[tab[h][x]][self._inv[h]]
         return self.mul(self.mul(h, x), self.inv[h])
 
     def word(self, ids: Iterable[int]) -> int:
@@ -231,7 +235,9 @@ class FiniteGroup:
         ]
 
     def subgroup_closure(self, ids: Iterable[int], cap: int | None = None) -> frozenset[int]:
-        limit = cap if cap is not None else closure_cap()
+        # A closure inside G never passes |G|, which G's own build already
+        # held to the cap; only an explicit cap can stop it early.
+        limit = cap if cap is not None else self.order
         gens = sorted(set(ids))
         seen = {self.identity_id}
         frontier = [self.identity_id]
@@ -494,7 +500,7 @@ def quotient(G: FiniteGroup, normal_ids: Iterable[int]) -> tuple[FiniteGroup, Gr
     images = []
     for gid in G.generator_ids:
         images.append(tuple(coset_of[G.mul(reps[c], gid)] for c in range(len(reps))))
-    Q = generate(images, name=f"{G.name or 'G'}/N")
+    Q = generate(images, G.order, name=f"{G.name or 'G'}/N")
     proj = GroupHom(G, Q, [Q.perm(Q.id_of(img)) for img in images], verify=False)
     return Q, proj
 

@@ -87,6 +87,7 @@ class CanonicalContext:
         self._class_min: dict[int, int] = {}
         self._transporter: dict[int, int] = {}
         self._cent_of_min: dict[int, list[int]] = {}
+        self._conjugators: dict[int, list[int]] = {}
 
     def _prepare_class(self, x: int) -> None:
         g = self.group
@@ -119,10 +120,12 @@ class CanonicalContext:
 
     def conjugators_to_min(self, x: int) -> list[int]:
         """All h with h x h^-1 = class_min(x), as Cent(min) * transporter."""
-        m = self.class_min(x)
-        g = self.group
-        t = self._transporter[x]
-        return [g.mul(z, t) for z in self._cent_of_min[m]]
+        hs = self._conjugators.get(x)
+        if hs is None:
+            g, m = self.group, self.class_min(x)
+            t = self._transporter[x]
+            hs = self._conjugators[x] = [g.mul(z, t) for z in self._cent_of_min[m]]
+        return hs
 
     def canon(self, ids: Sequence[int]) -> tuple[int, ...]:
         """Lexicographic minimum of h * ids * h^-1 over all h in the group."""
@@ -301,42 +304,41 @@ def nielsen_inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerCla
     minimum of its slot, and two such tuples are conjugate exactly under
     the centralizer of that minimum; enumerating only those tuples and
     deduplicating by canonical form gives the same classes as
-    ``inner_classes(enumerate_nielsen(...))``.
+    ``inner_classes(enumerate_nielsen(...))``.  Each candidate is
+    canonicalized first and generation is tested once per form.  A
+    generating tuple is fixed under conjugation exactly by the center, so
+    every class has orbit size |G| / |Z(G)|.
     """
     if C.group is not group:
         raise ConfigError("class multiset belongs to a different group")
     if C.r < 3:
         raise ConfigError("Nielsen classes need r >= 3")
     ctx = canonical_context(group)
-    found: dict[tuple[int, ...], int] = {}
+    orbit_size = group.order // len(group.center_ids())
+    verdict: dict[tuple[int, ...], bool] = {}
     gen_cache: dict[frozenset[int], bool] = {}
 
-    def cached_generates(key: frozenset[int]) -> bool:
+    def cached_generates(ids: tuple[int, ...]) -> bool:
+        key = frozenset(ids)
         ok = gen_cache.get(key)
         if ok is None:
-            ok = gen_cache[key] = generates(group, key)
+            ok = gen_cache[key] = generates(group, ids)
         return ok
 
     for pattern in _patterns(C):
         m = pattern[0].member_ids[0]
-        first_class_size = pattern[0].size
-        cent = ctx.conjugators_to_min(m)  # centralizer of m (transporter = id)
         for ids in _product_one_candidates(group, pattern, (m,)):
-            # a tuple generates if one pair (m, x) does; the pair closures
-            # are few and shared, so the full test is the fallback
-            if not any(
-                cached_generates(frozenset((m, x))) for x in ids[1:]
-            ) and not cached_generates(frozenset(ids)):
-                continue
             canon = ctx.canon(ids)
-            if canon in found:
-                continue
-            stab = sum(
-                1 for h in cent if all(group.conj(x, h) == x for x in ids)
-            )
-            found[canon] = (len(cent) // stab) * first_class_size
+            if canon not in verdict:
+                # a tuple generates if one pair (m, x) does; the pair
+                # closures are few and shared, so the full test is last
+                verdict[canon] = any(
+                    cached_generates((m, x)) for x in ids[1:]
+                ) or cached_generates(ids)
     return [
-        InnerClass(group, canon, size) for canon, size in sorted(found.items())
+        InnerClass(group, canon, orbit_size)
+        for canon, ok in sorted(verdict.items())
+        if ok
     ]
 
 

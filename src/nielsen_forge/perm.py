@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
+from .errors import ConventionBroken
+
 Perm = tuple[int, ...]
 
 
@@ -150,16 +152,11 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def act_tuple(entries: tuple[Perm, ...], h: Perm) -> tuple[Perm, ...]:
-    """Simultaneous conjugation h * g_i * h^-1 of every entry."""
-    return tuple(conjugate(g, h) for g in entries)
-
-
 def _convention_self_test() -> None:
     # Left-to-right product convention, pinned by (5 4 3 2 1)(2 4 3 5 1) = (5 3 4).
     lhs = compose(parse("(5 4 3 2 1)", 5), parse("(2 4 3 5 1)", 5))
     if lhs != parse("(5 3 4)", 5):
-        raise AssertionError("composition convention violated: expected (5 3 4)")
+        raise ConventionBroken("composition convention violated: expected (5 3 4)")
 
 
 _convention_self_test()

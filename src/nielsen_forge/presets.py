@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import perm as P
-from .errors import ConfigError
+from .errors import ConfigError, PresetOrderMismatch
 from .groups import FiniteGroup, GroupHom, generate, hom
 from .lifting import CentralExtension
 from .perm import Perm
@@ -62,7 +62,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec(kind, param)
 
 
-def alternating(n: int) -> FiniteGroup:
+def alternating(n: int, cap: int | None = None) -> FiniteGroup:
     if n < 3:
         raise ConfigError("alternating groups need n >= 3")
     three = P.from_cycles([(0, 1, 2)], n)
@@ -72,23 +72,23 @@ def alternating(n: int) -> FiniteGroup:
         gens = [three, P.from_cycles([tuple(range(n))], n)]
     else:
         gens = [three, P.from_cycles([tuple(range(1, n))], n)]
-    return generate(gens, name=f"A{n}")
+    return generate(gens, cap, name=f"A{n}")
 
 
-def symmetric(n: int) -> FiniteGroup:
+def symmetric(n: int, cap: int | None = None) -> FiniteGroup:
     if n < 2:
         raise ConfigError("symmetric groups need n >= 2")
     gens = [P.from_cycles([(0, 1)], n), P.from_cycles([tuple(range(n))], n)]
-    return generate(gens, name=f"S{n}")
+    return generate(gens, cap, name=f"S{n}")
 
 
-def dihedral(m: int) -> FiniteGroup:
+def dihedral(m: int, cap: int | None = None) -> FiniteGroup:
     """D_m of order 2m on m points: rotation i -> i+1 and reflection i -> -i."""
     if m < 3:
         raise ConfigError("dihedral groups need m >= 3")
     rot = tuple((i + 1) % m for i in range(m))
     ref = tuple((-i) % m for i in range(m))
-    return generate([rot, ref], name=f"D{m}")
+    return generate([rot, ref], cap, name=f"D{m}")
 
 
 def _lattice_index(m: int, a: int, b: int) -> int:
@@ -107,20 +107,20 @@ def translation(m: int, v: tuple[int, int]) -> Perm:
     return _lattice_perm(m, lambda a, b: (a + v[0], b + v[1]))
 
 
-def v2_pm(m: int) -> FiniteGroup:
+def v2_pm(m: int, cap: int | None = None) -> FiniteGroup:
     """(Z/m)^2 x| {+-1} on the m^2 lattice points (m odd)."""
     if m < 3 or m % 2 == 0:
         raise ConfigError("V2xPM needs odd m >= 3")
     neg = _lattice_perm(m, lambda a, b: (-a, -b))
     gens = [translation(m, (1, 0)), translation(m, (0, 1)), neg]
-    return generate(gens, name=f"(Z/{m})^2x|pm")
+    return generate(gens, cap, name=f"(Z/{m})^2x|pm")
 
 
 # Order-3 lattice action with characteristic polynomial x^2 + x + 1.
 _ALPHA = ((0, -1), (1, -1))
 
 
-def v2_z3(m: int) -> FiniteGroup:
+def v2_z3(m: int, cap: int | None = None) -> FiniteGroup:
     if m < 2:
         raise ConfigError("V2xZ3 needs m >= 2")
     alpha = _lattice_perm(
@@ -131,7 +131,7 @@ def v2_z3(m: int) -> FiniteGroup:
         ),
     )
     gens = [translation(m, (1, 0)), translation(m, (0, 1)), alpha]
-    return generate(gens, name=f"(Z/{m})^2x|Z3")
+    return generate(gens, cap, name=f"(Z/{m})^2x|Z3")
 
 
 def elementary_squared(p: int) -> FiniteGroup:
@@ -147,7 +147,7 @@ def _regular_perms(elements: list, mul) -> dict:
     return {g: tuple(index[mul(x, g)] for x in elements) for g in elements}
 
 
-def heisenberg(p: int) -> tuple[FiniteGroup, CentralExtension]:
+def heisenberg(p: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExtension]:
     """H_{Z/p,3} by right-regular action, with its central Z/p quotient map."""
     if p < 2:
         raise ConfigError("Heis needs a prime p >= 2")
@@ -160,9 +160,9 @@ def heisenberg(p: int) -> tuple[FiniteGroup, CentralExtension]:
 
     reg = _regular_perms(els, mul)
     x_gen, y_gen, z_gen = reg[(1, 0, 0)], reg[(0, 1, 0)], reg[(0, 0, 1)]
-    R = generate([x_gen, y_gen], name=f"Heis({p})")
+    R = generate([x_gen, y_gen], cap, name=f"Heis({p})")
     if R.order != p**3:
-        raise AssertionError("Heisenberg closure has wrong order")
+        raise PresetOrderMismatch("Heisenberg closure has wrong order")
     quot = elementary_squared(p)
     proj = hom(R, quot, [translation(p, (1, 0)), translation(p, (0, 1))])
     ext = CentralExtension(R, quot, proj, kernel_gen=z_gen, p=p)
@@ -177,7 +177,7 @@ _SL2_IMAGE_TABLE = {
 }
 
 
-def sl2_cover(q: int) -> tuple[FiniteGroup, CentralExtension]:
+def sl2_cover(q: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExtension]:
     """SL(2,q) (q in {3,5}) with its projection onto A_4 resp. A_5."""
     if q not in _SL2_IMAGE_TABLE:
         raise ConfigError(f"no frozen double-cover table for q={q}")
@@ -194,11 +194,11 @@ def sl2_cover(q: int) -> tuple[FiniteGroup, CentralExtension]:
 
     reg = _regular_perms(els, mul)
     s_mat, t_mat = (0, q - 1, 1, 0), (1, 1, 0, 1)
-    R = generate([reg[s_mat], reg[t_mat]], name=f"SL(2,{q})")
+    R = generate([reg[s_mat], reg[t_mat]], cap, name=f"SL(2,{q})")
     if R.order != q * (q * q - 1):
-        raise AssertionError("SL(2,q) closure has wrong order")
+        raise PresetOrderMismatch("SL(2,q) closure has wrong order")
     n = 4 if q == 3 else 5
-    A = alternating(n)
+    A = alternating(n, cap)
     s_img, t_img = (P.parse(txt, n) for txt in _SL2_IMAGE_TABLE[q])
     proj = hom(R, A, [s_img, t_img])
     minus_i = reg[((q - 1), 0, 0, (q - 1))]
@@ -206,42 +206,37 @@ def sl2_cover(q: int) -> tuple[FiniteGroup, CentralExtension]:
     return R, ext
 
 
-def make_group(spec: GroupSpec) -> tuple[FiniteGroup, CentralExtension | None]:
+def make_group(
+    spec: GroupSpec, cap: int | None = None
+) -> tuple[FiniteGroup, CentralExtension | None]:
     """Realize a GroupSpec; double covers/Heisenberg come with their extension."""
     if spec.kind == "A":
-        return alternating(spec.param), None
+        return alternating(spec.param, cap), None
     if spec.kind == "S":
-        return symmetric(spec.param), None
+        return symmetric(spec.param, cap), None
     if spec.kind == "D":
-        return dihedral(spec.param), None
+        return dihedral(spec.param, cap), None
     if spec.kind == "V2xPM":
-        return v2_pm(spec.param), None
+        return v2_pm(spec.param, cap), None
     if spec.kind == "V2xZ3":
-        return v2_z3(spec.param), None
+        return v2_z3(spec.param, cap), None
     if spec.kind == "Heis":
-        return heisenberg(spec.param)
+        return heisenberg(spec.param, cap)
     if spec.kind == "SL23":
-        return sl2_cover(3)
+        return sl2_cover(3, cap)
     if spec.kind == "SL25":
-        return sl2_cover(5)
+        return sl2_cover(5, cap)
     if spec.kind == "custom":
         degree = max(len(P.parse(s)) for s in spec.custom_gens)
-        return generate([P.parse(s, degree) for s in spec.custom_gens], name="custom"), None
+        gens = [P.parse(s, degree) for s in spec.custom_gens]
+        return generate(gens, cap, name="custom"), None
     raise ConfigError(f"unhandled group spec {spec!r}")
 
 
-def group_from_string(text: str) -> tuple[FiniteGroup, CentralExtension | None]:
-    return make_group(parse_group_spec(text))
-
-
-def dihedral_level_map(m_big: int, m_small: int) -> GroupHom:
-    """D_{m_big} -> D_{m_small} for m_small | m_big (rotation to rotation)."""
-    if m_big % m_small:
-        raise ConfigError("dihedral level map needs m_small | m_big")
-    big, small = dihedral(m_big), dihedral(m_small)
-    rot = P.from_cycles([tuple(range(m_small))], m_small)
-    ref = tuple((-i) % m_small for i in range(m_small))
-    return hom(big, small, [rot, ref])
+def group_from_string(
+    text: str, cap: int | None = None
+) -> tuple[FiniteGroup, CentralExtension | None]:
+    return make_group(parse_group_spec(text), cap)
 
 
 def dihedral_chain(p: int, k_max: int) -> tuple[list[FiniteGroup], list[GroupHom]]:
@@ -269,19 +264,6 @@ def v2_pm_chain(p: int, u_max: int) -> tuple[list[FiniteGroup], list[GroupHom]]:
         ]
         homs.append(hom(groups[u + 1], groups[u], images))
     return groups, homs
-
-
-def v2_pm_level_map(m_big: int, m_small: int) -> GroupHom:
-    """(Z/m_big)^2 x| pm -> (Z/m_small)^2 x| pm by reducing the lattice."""
-    if m_big % m_small:
-        raise ConfigError("lattice level map needs m_small | m_big")
-    big, small = v2_pm(m_big), v2_pm(m_small)
-    images = [
-        translation(m_small, (1, 0)),
-        translation(m_small, (0, 1)),
-        _lattice_perm(m_small, lambda a, b: (-a, -b)),
-    ]
-    return hom(big, small, images)
 
 
 def _unit_generators(m: int) -> list[int]:
@@ -327,7 +309,9 @@ def gl2_automorphisms(m: int, group: FiniteGroup | None = None) -> list[GroupHom
     return homs
 
 
-def chain_from_specs(specs: list[str]) -> tuple[FiniteGroup, list[GroupHom]]:
+def chain_from_specs(
+    specs: list[str], cap: int | None = None
+) -> tuple[FiniteGroup, list[GroupHom]]:
     """Level maps for a base-first chain of group specs.
 
     Supported: dihedral chains D(m0),D(m1),... with m_k | m_{k+1};
@@ -339,7 +323,7 @@ def chain_from_specs(specs: list[str]) -> tuple[FiniteGroup, list[GroupHom]]:
         raise ConfigError("a tower chain needs at least two levels")
     kinds = {p.kind for p in parsed}
     if kinds == {"D"}:
-        groups = [dihedral(p.param) for p in parsed]
+        groups = [dihedral(p.param, cap) for p in parsed]
         homs = []
         for small, big in zip(groups, groups[1:]):
             m_small = small.degree
@@ -350,7 +334,7 @@ def chain_from_specs(specs: list[str]) -> tuple[FiniteGroup, list[GroupHom]]:
             homs.append(hom(big, small, [rot, ref]))
         return groups[0], homs
     if kinds == {"V2xPM"}:
-        groups = [v2_pm(p.param) for p in parsed]
+        groups = [v2_pm(p.param, cap) for p in parsed]
         homs = []
         for small, big in zip(groups, groups[1:]):
             m_small = parsed[groups.index(small)].param
@@ -365,10 +349,10 @@ def chain_from_specs(specs: list[str]) -> tuple[FiniteGroup, list[GroupHom]]:
             homs.append(hom(big, small, images))
         return groups[0], homs
     if [p.kind for p in parsed] == ["A", "SL23"] and parsed[0].param == 4:
-        _, ext = sl2_cover(3)
+        _, ext = sl2_cover(3, cap)
         return ext.G, [ext.proj]
     if [p.kind for p in parsed] == ["A", "SL25"] and parsed[0].param == 5:
-        _, ext = sl2_cover(5)
+        _, ext = sl2_cover(5, cap)
         return ext.G, [ext.proj]
     raise ConfigError(
         "unsupported chain; use a dihedral or V2xPM family, or A(4),SL23 / A(5),SL25"
@@ -376,7 +360,7 @@ def chain_from_specs(specs: list[str]) -> tuple[FiniteGroup, list[GroupHom]]:
 
 
 def extension_from_string(
-    text: str, target: FiniteGroup | None = None
+    text: str, target: FiniteGroup | None = None, cap: int | None = None
 ) -> CentralExtension:
     """A named cover, or a custom one as "R=<spec>; images=<perm>,...;
     kernel=<perm>; p=<prime>" with images/kernel in cycle notation.
@@ -396,7 +380,7 @@ def extension_from_string(
         missing = {"R", "images", "kernel", "p"} - set(fields)
         if missing:
             raise ConfigError(f"extension spec missing {sorted(missing)}")
-        R, _ = make_group(parse_group_spec(fields["R"]))
+        R, _ = make_group(parse_group_spec(fields["R"]), cap)
         images = [
             P.parse(s.strip(), target.degree)
             for s in re.findall(r"(?:\([^()]*\))+", fields["images"])
@@ -406,19 +390,21 @@ def extension_from_string(
         return CentralExtension(R, target, proj, kernel_gen, int(fields["p"]))
     spec = parse_group_spec(body)
     if spec.kind == "SL23":
-        return sl2_cover(3)[1]
+        return sl2_cover(3, cap)[1]
     if spec.kind == "SL25":
-        return sl2_cover(5)[1]
+        return sl2_cover(5, cap)[1]
     if spec.kind == "Heis":
-        return heisenberg(spec.param)[1]
+        return heisenberg(spec.param, cap)[1]
     raise ConfigError(f"no central extension named {text!r}")
 
 
-def direct_product_with_cyclic(G: FiniteGroup, p: int) -> GroupHom:
+def direct_product_with_cyclic(
+    G: FiniteGroup, p: int, cap: int | None = None
+) -> GroupHom:
     """Projection G x Z/p -> G on disjoint points (split-cover counterexample)."""
     n = G.degree
     wide = [tuple(g) + tuple(range(n, n + p)) for g in G.generators]
     cyc = tuple(range(n)) + tuple(n + ((i + 1) % p) for i in range(p))
-    big = generate(wide + [cyc], name=f"{G.name}xZ/{p}")
+    big = generate(wide + [cyc], cap, name=f"{G.name}xZ/{p}")
     images = list(G.generators) + [P.identity(n)]
     return hom(big, G, images)

@@ -37,7 +37,6 @@ def run_pipeline(
     extension: CentralExtension | None = None,
     *,
     r3: bool = False,
-    jobs: int = 1,
 ) -> PipelineResult:
     """enumerate -> reduce -> orbits -> cusps -> genus -> classify -> screen."""
     inner = nielsen_inner_classes(group, C)
@@ -58,18 +57,9 @@ def run_pipeline(
         )
     reduced = reduced_classes(inner)
     orbits = braid_orbits(reduced)
-
-    def build(pair):
-        i, orb = pair
-        return component_dossier(orb, i + 1, p, extension)
-
-    if jobs > 1 and len(orbits) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            dossiers = list(pool.map(build, enumerate(orbits)))
-    else:
-        dossiers = [build(x) for x in enumerate(orbits)]
+    dossiers = [
+        component_dossier(orb, i + 1, p, extension) for i, orb in enumerate(orbits)
+    ]
     return PipelineResult(group, C, p, len(inner), len(reduced), dossiers)
 
 

@@ -148,7 +148,7 @@ class TowerLevel:
     classes: ClassMultiset
     orbits: list[BraidOrbit]
     dossiers: list[ComponentDossier]
-    cusps: list[list[CuspOrbit]]
+    cusps: list[tuple[CuspOrbit, ...]]
 
 
 @dataclass
@@ -263,22 +263,12 @@ def _level_data(
     C: ClassMultiset,
     p: int,
     extension: CentralExtension | None,
-    jobs: int = 1,
 ) -> TowerLevel:
     inner = nielsen_inner_classes(group, C)
     orbits = braid_orbits(reduced_classes(inner))
-
-    def build(i_orb):
-        i, orb = i_orb
-        return component_dossier(orb, i + 1, p, extension)
-
-    if jobs > 1 and len(orbits) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            dossiers = list(pool.map(build, enumerate(orbits)))
-    else:
-        dossiers = [build(x) for x in enumerate(orbits)]
+    dossiers = [
+        component_dossier(orb, i + 1, p, extension) for i, orb in enumerate(orbits)
+    ]
     cusps = [cusp_orbits(o) for o in orbits]
     return TowerLevel(group, C, orbits, dossiers, cusps)
 
@@ -288,7 +278,6 @@ def build_graph(
     base_classes: ClassMultiset,
     p: int,
     extensions: Sequence[CentralExtension | None] | None = None,
-    jobs: int = 1,
 ) -> TowerGraph:
     """Assemble the level-to-level graph over a composable chain of covers.
 
@@ -319,7 +308,7 @@ def build_graph(
             transfer_classes(match_classes(lm, classes[-1]), groups[k + 1])
         )
     levels = [
-        _level_data(g, c, p, e, jobs) for g, c, e in zip(groups, classes, exts)
+        _level_data(g, c, p, e) for g, c, e in zip(groups, classes, exts)
     ]
     graph = TowerGraph(p, levels)
 

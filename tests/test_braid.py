@@ -120,6 +120,12 @@ def test_braid_orbit_sizes_and_widths_a4():
         assert sum(c.width for c in cusp_orbits(o)) == o.size
 
 
+def test_cusp_orbits_are_computed_once_per_orbit():
+    _, _, inner = _a4_setup()
+    for o in braid_orbits(reduced_classes(inner)):
+        assert cusp_orbits(o) is cusp_orbits(o)
+
+
 def test_a5_c34_orbit():
     A5 = alternating(5)
     c3 = [c for c in A5.conjugacy_classes() if c.element_order == 3][0]

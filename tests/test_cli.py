@@ -224,3 +224,37 @@ def test_cap_env_flag(capsys, monkeypatch):
     )
     assert code != 0
     assert "ClosureExceedsCap" in err
+
+
+def test_cap_flag_holds_for_one_run_only(capsys, monkeypatch):
+    import os
+
+    report = ("report", "--group", "A(5)", "--classes", "3:4", "--prime", "2")
+    monkeypatch.delenv("NIELSEN_FORGE_CAP", raising=False)
+    code, _, err = run_cli(capsys, *report, "--cap", "10")
+    assert code != 0 and "ClosureExceedsCap" in err
+    assert "NIELSEN_FORGE_CAP" not in os.environ
+    code, _, _ = run_cli(capsys, *report)
+    assert code == 0
+    # the environment still sets the default cap
+    monkeypatch.setenv("NIELSEN_FORGE_CAP", "10")
+    code, _, err = run_cli(capsys, *report)
+    assert code != 0 and "ClosureExceedsCap" in err
+
+
+def test_cap_flag_overrides_low_env_cap(capsys, monkeypatch):
+    # closures inside an enumerated group (pair subgroups of classify_cusp,
+    # the Frattini test, quotients) are bounded by |G|, not by the env cap
+    monkeypatch.setenv("NIELSEN_FORGE_CAP", "20")
+    code, out, err = run_cli(
+        capsys, "report", "--group", "A(5)", "--classes", "3:4", "--prime", "2",
+        "--cap", "100000",
+    )
+    assert code == 0, err
+    assert "ClosureExceedsCap" not in err
+    code, out, err = run_cli(
+        capsys, "report", "--group", "A(4)", "--classes", "3+:2,3-:2",
+        "--prime", "2", "--extension", "SL23", "--cap", "100000",
+    )
+    assert code == 0, err
+    assert "lifting invariant: -1" in out

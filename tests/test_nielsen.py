@@ -242,3 +242,70 @@ def test_class_multiset_guards():
         ClassMultiset([(cls3, 9)])  # r > 8 hard stop
     with pytest.raises(ConfigError):
         enumerate_nielsen(A4, ClassMultiset([(cls3, 2)]))  # r < 3
+
+
+def test_orbit_sizes_on_a_group_with_center():
+    # |Z(SL(2,3))| = 2: a generating tuple is fixed by the center alone, so
+    # every inner class has orbit size 24 / 2 = 12
+    G, _ = group_from_string("SL23")
+    assert len(G.center_ids()) == 2
+    C = parse_class_selector(G, "3+:2,3-:2")
+    fast = nielsen_inner_classes(G, C)
+    slow = inner_classes(enumerate_nielsen(G, C))
+    assert [(c.canonical, c.orbit_size) for c in fast] == [
+        (c.canonical, c.orbit_size) for c in slow
+    ]
+    assert len(fast) == 18
+    assert {c.orbit_size for c in fast} == {12}
+
+
+def test_untabled_conj_and_canon_agree_with_tabled(monkeypatch):
+    import nielsen_forge.groups as groups
+
+    monkeypatch.setattr(groups, "MUL_TABLE_MAX", 0)
+    untabled = alternating(5)
+    untabled.mul(0, 0)
+    monkeypatch.undo()
+    tabled = alternating(5)
+    tabled.mul(0, 0)
+    assert untabled._mul is None and tabled._mul is not None
+    n = tabled.order
+    assert all(
+        untabled.conj(x, h) == tabled.conj(x, h) for x in range(n) for h in range(n)
+    )
+    C_u = parse_class_selector(untabled, "3:4")
+    C_t = parse_class_selector(tabled, "3:4")
+    inner = nielsen_inner_classes(tabled, C_t)
+    assert [(c.canonical, c.orbit_size) for c in inner] == [
+        (c.canonical, c.orbit_size) for c in nielsen_inner_classes(untabled, C_u)
+    ]
+    ctx_u, ctx_t = canonical_context(untabled), canonical_context(tabled)
+    for cls in inner:
+        for h in range(n):
+            moved = tuple(tabled.conj(x, h) for x in cls.canonical[::-1])
+            assert ctx_u.canon(moved) == ctx_t.canon(moved)
+
+
+@pytest.mark.parametrize(
+    "spec, classes", [("A(5)", "3:4"), ("S(4)", "(1 2):2,(1 2 3):2")]
+)
+def test_full_generation_test_runs_once_per_canonical_form(
+    monkeypatch, spec, classes
+):
+    import nielsen_forge.nielsen as N
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    ctx = canonical_context(G)
+    tested = []
+    full = N.generates
+
+    def recorded(group, ids):
+        if len(ids) == C.r:
+            tested.append(ctx.canon(tuple(ids)))
+        return full(group, ids)
+
+    monkeypatch.setattr(N, "generates", recorded)
+    nielsen_inner_classes(G, C)
+    assert tested
+    assert len(tested) == len(set(tested))

@@ -69,3 +69,11 @@ def test_cycles_index_order():
 def test_inverse():
     g = P.parse("(1 2 3 4)", 4)
     assert P.compose(g, P.inverse(g)) == P.identity(4)
+
+
+def test_convention_self_check_raises_a_typed_error(monkeypatch):
+    from nielsen_forge.errors import ConventionBroken
+
+    monkeypatch.setattr(P, "compose", lambda p, q: tuple(p[x] for x in q))
+    with pytest.raises(ConventionBroken):
+        P._convention_self_test()

@@ -143,3 +143,16 @@ def test_extension_from_string():
 def test_symmetric():
     assert symmetric(4).order == 24
     assert alternating(6).order == 360
+
+
+@pytest.mark.parametrize("build", [lambda: heisenberg(3), lambda: sl2_cover(3)])
+def test_preset_order_checks_raise_a_typed_error(monkeypatch, build):
+    import nielsen_forge.presets as presets
+    from nielsen_forge.errors import PresetOrderMismatch
+
+    real = presets.generate
+    monkeypatch.setattr(
+        presets, "generate", lambda gens, cap=None, name="": real(gens[:1], cap, name)
+    )
+    with pytest.raises(PresetOrderMismatch):
+        build()
