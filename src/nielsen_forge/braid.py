@@ -88,41 +88,69 @@ def q2_variants(
 
 @dataclass(frozen=True)
 class ReducedClass:
-    """Class under conjugation together with Q'' (r=4 only)."""
+    """Class under conjugation together with Q'' (r=4 only), with the inner
+    canonicals of q2 and sh applied to its canonical tuple."""
 
     group: FiniteGroup
     canonical: tuple[int, ...]
     inner_canonicals: tuple[tuple[int, ...], ...]
     size: int
     q2_orbit_length: int
+    q2_image: tuple[int, ...]
+    sh_image: tuple[int, ...]
 
     @property
     def tuple(self) -> NielsenTuple:
         return NielsenTuple(self.group, self.canonical)
 
 
+def _braid_table(
+    group: FiniteGroup, keys: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """sh and q2 on the sorted inner canonicals, one canon call per move, and
+    the Q'' generators sh^2 and q1 q3^-1 = sh^-1 q2 sh sh q2^-1 sh^-1 (left
+    to right; q1 = sh^-1 q2 sh and q3 = sh q2 sh^-1 hold on raw tuples)."""
+    ctx = canonical_context(group)
+    index = {t: i for i, t in enumerate(keys)}
+
+    def target(ids: tuple[int, ...]) -> int:
+        i = index.get(ctx.canon(ids))
+        if i is None:
+            raise ClassListEscape("braid action left the supplied inner class list")
+        return i
+
+    sh = [target(_shift_ids(t)) for t in keys]
+    q2 = [target(_twist(group, t, 1, +1)) for t in keys]
+    sh_inv, q2_inv = [0] * len(keys), [0] * len(keys)
+    for i in range(len(keys)):
+        sh_inv[sh[i]] = i
+        q2_inv[q2[i]] = i
+    sh2 = [sh[j] for j in sh]
+    q13inv = [sh_inv[q2_inv[sh[sh[q2[j]]]]] for j in sh_inv]
+    return sh, q2, sh2, q13inv
+
+
 def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
-    """Merge inner classes under Q''; records each Q''-orbit length."""
+    """Merge inner classes, a list closed under sh and q2, under Q''."""
     if not inner:
         return []
     group = inner[0].group
     if len(inner[0].canonical) != 4:
         raise RankNotFour("reduced classes are defined for r = 4 only")
-    by_canon = {cls.canonical: cls for cls in inner}
-    orbits = partition_orbits(
-        by_canon,
-        _q2_moves(group, canonical_context(group)),
-        ClassListEscape("Q'' left the supplied inner class list"),
-    )
+    inner = sorted(inner, key=lambda c: c.canonical)
+    keys = [c.canonical for c in inner]
+    sh, q2, sh2, q13inv = _braid_table(group, keys)
     return [
         ReducedClass(
             group,
-            members[0],
-            tuple(members),
-            sum(by_canon[t].orbit_size for t in members),
-            len(members),
+            keys[m[0]],
+            tuple(keys[j] for j in m),
+            sum(inner[j].orbit_size for j in m),
+            len(m),
+            keys[q2[m[0]]],
+            keys[sh[m[0]]],
         )
-        for members in orbits
+        for m in partition_orbits(range(len(keys)), lambda i: (sh2[i], q13inv[i]))
     ]
 
 
@@ -175,27 +203,26 @@ class BraidOrbit:
 def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     """Partition reduced classes into components; deterministic order.
 
-    gamma_inf = q2 and gamma_1 = sh are tabled once over all reduced
-    classes, one canonicalization per move, through the inner canonical
-    -> reduced index map; components are the orbits of the two arrays.
+    gamma_inf = q2 and gamma_1 = sh are read off the q2 and sh images that
+    reduced_classes tabled, through the inner canonical -> reduced index
+    map; components are the orbits of the two arrays.
     """
     if not reduced:
         return []
     group = reduced[0].group
     if len(reduced[0].canonical) != 4:
         raise RankNotFour("braid orbits on reduced classes need r = 4")
-    ctx = canonical_context(group)
     reduced = sorted(reduced, key=lambda c: c.canonical)
     index = {t: i for i, c in enumerate(reduced) for t in c.inner_canonicals}
 
-    def target(ids: tuple[int, ...]) -> int:
-        i = index.get(ctx.canon(ids))
+    def target(t: tuple[int, ...]) -> int:
+        i = index.get(t)
         if i is None:
             raise ClassListEscape("braid action left the reduced class list")
         return i
 
-    gamma_inf = [target(_twist(group, c.canonical, 1, +1)) for c in reduced]
-    gamma_1 = [target(_shift_ids(c.canonical)) for c in reduced]
+    gamma_inf = [target(c.q2_image) for c in reduced]
+    gamma_1 = [target(c.sh_image) for c in reduced]
     orbits = []
     for members in partition_orbits(
         range(len(reduced)), lambda i: (gamma_inf[i], gamma_1[i])

@@ -10,6 +10,7 @@ minimum remains to scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -213,9 +214,8 @@ def _product_one_candidates(
     last_set = pattern[-1].member_set
     if r == 3:
         for a in first_choices:
-            row_a = group.mul_row(a)
             for b in pattern[1].member_ids:
-                c = inv[row_a[b]]
+                c = inv[group.mul(a, b)]
                 if c in last_set:
                     out.append((a, b, c))
     elif r == 4:
@@ -297,7 +297,11 @@ def inner_classes(tuples: Sequence[NielsenTuple]) -> list[InnerClass]:
     return out
 
 
-def nielsen_inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerClass]:
+def nielsen_inner_classes(
+    group: FiniteGroup,
+    C: ClassMultiset,
+    below: tuple[GroupHom, Iterable[tuple[int, ...]]] | None = None,
+) -> list[InnerClass]:
     """Inner classes of ni(G, C) without materializing every raw tuple.
 
     Every conjugation orbit contains tuples whose first entry is the class
@@ -308,6 +312,9 @@ def nielsen_inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerCla
     canonicalized first and generation is tested once per form.  A
     generating tuple is fixed under conjugation exactly by the center, so
     every class has orbit size |G| / |Z(G)|.
+
+    ``below = (psi, lower canonicals)`` lifts them instead through psi, a
+    Frattini cover with C the matched p' classes (``_frattini_lifts``).
     """
     if C.group is not group:
         raise ConfigError("class multiset belongs to a different group")
@@ -315,6 +322,9 @@ def nielsen_inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerCla
         raise ConfigError("Nielsen classes need r >= 3")
     ctx = canonical_context(group)
     orbit_size = group.order // len(group.center_ids())
+    if below is not None:
+        lifts = _frattini_lifts(group, C, *below)
+        return [InnerClass(group, canon, orbit_size) for canon in sorted(lifts)]
     verdict: dict[tuple[int, ...], bool] = {}
     gen_cache: dict[frozenset[int], bool] = {}
 
@@ -340,6 +350,30 @@ def nielsen_inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerCla
         for canon, ok in sorted(verdict.items())
         if ok
     ]
+
+
+def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) -> set:
+    """Canonical forms of the product-one tuples T in C with psi(T) lower.
+
+    Every class has such a T, and a lift of a generating tuple through a
+    Frattini cover generates, so nothing is tested.  The p' lifts of t1 in
+    its class are conjugate under ker psi (Schur-Zassenhaus), which fixes
+    psi(T), so T1 is one fixed lift; the last entry is forced.
+    """
+    ctx = canonical_context(group)
+    members = {x for cls, _ in C.entries for x in cls.member_ids}
+    fiber: dict[int, list[int]] = {}
+    for x in sorted(members):
+        fiber.setdefault(psi.full_map[x], []).append(x)
+    out = set()
+    for t in lower:
+        first = fiber[t[0]][0]
+        for mid in product(*(fiber[x] for x in t[1:-1])):
+            last = group.inv[group.word((first, *mid))]
+            # psi(last) = t[-1], so last is in the matched class iff in C
+            if last in members:
+                out.add(ctx.canon((first, *mid, last)))
+    return out
 
 
 def absolute_classes(

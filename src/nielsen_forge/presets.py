@@ -241,29 +241,12 @@ def group_from_string(
 
 def dihedral_chain(p: int, k_max: int) -> tuple[list[FiniteGroup], list[GroupHom]]:
     """Shared-instance chain D_{p^{k+1}} -> D_{p^k} for k = 0..k_max-1."""
-    groups = [dihedral(p ** (k + 1)) for k in range(k_max + 1)]
-    homs = []
-    for k in range(k_max):
-        m_small = p ** (k + 1)
-        rot = P.from_cycles([tuple(range(m_small))], m_small)
-        ref = tuple((-i) % m_small for i in range(m_small))
-        homs.append(hom(groups[k + 1], groups[k], [rot, ref]))
-    return groups, homs
+    return _family_chain([GroupSpec("D", p ** (k + 1)) for k in range(k_max + 1)])
 
 
 def v2_pm_chain(p: int, u_max: int) -> tuple[list[FiniteGroup], list[GroupHom]]:
     """Shared-instance chain (Z/p^{u+1})^2 x| pm down to (Z/p)^2 x| pm."""
-    groups = [v2_pm(p ** (u + 1)) for u in range(u_max + 1)]
-    homs = []
-    for u in range(u_max):
-        m_small = p ** (u + 1)
-        images = [
-            translation(m_small, (1, 0)),
-            translation(m_small, (0, 1)),
-            _lattice_perm(m_small, lambda a, b: (-a, -b)),
-        ]
-        homs.append(hom(groups[u + 1], groups[u], images))
-    return groups, homs
+    return _family_chain([GroupSpec("V2xPM", p ** (u + 1)) for u in range(u_max + 1)])
 
 
 def _unit_generators(m: int) -> list[int]:
@@ -309,6 +292,25 @@ def gl2_automorphisms(m: int, group: FiniteGroup | None = None) -> list[GroupHom
     return homs
 
 
+# family -> (constructor, chain name); the level maps of a chain send the
+# generators of a level to the generators of the level below
+_CHAIN_FAMILIES = {"D": (dihedral, "dihedral"), "V2xPM": (v2_pm, "lattice")}
+
+
+def _family_chain(
+    parsed: list[GroupSpec], cap: int | None = None
+) -> tuple[list[FiniteGroup], list[GroupHom]]:
+    """Groups and level maps of a base-first D or V2xPM chain, shared instances."""
+    make, name = _CHAIN_FAMILIES[parsed[0].kind]
+    groups = [make(p.param, cap) for p in parsed]
+    homs = []
+    for small, big, g_small, g_big in zip(parsed, parsed[1:], groups, groups[1:]):
+        if big.param % small.param:
+            raise ConfigError(f"{name} chain needs m_k | m_{{k+1}}")
+        homs.append(hom(g_big, g_small, g_small.generators))
+    return groups, homs
+
+
 def chain_from_specs(
     specs: list[str], cap: int | None = None
 ) -> tuple[FiniteGroup, list[GroupHom]]:
@@ -321,32 +323,8 @@ def chain_from_specs(
     parsed = [parse_group_spec(s) for s in specs]
     if len(parsed) < 2:
         raise ConfigError("a tower chain needs at least two levels")
-    kinds = {p.kind for p in parsed}
-    if kinds == {"D"}:
-        groups = [dihedral(p.param, cap) for p in parsed]
-        homs = []
-        for small, big in zip(groups, groups[1:]):
-            m_small = small.degree
-            if big.degree % m_small:
-                raise ConfigError("dihedral chain needs m_k | m_{k+1}")
-            rot = P.from_cycles([tuple(range(m_small))], m_small)
-            ref = tuple((-i) % m_small for i in range(m_small))
-            homs.append(hom(big, small, [rot, ref]))
-        return groups[0], homs
-    if kinds == {"V2xPM"}:
-        groups = [v2_pm(p.param, cap) for p in parsed]
-        homs = []
-        for small, big in zip(groups, groups[1:]):
-            m_small = parsed[groups.index(small)].param
-            m_big = parsed[groups.index(big)].param
-            if m_big % m_small:
-                raise ConfigError("lattice chain needs m_k | m_{k+1}")
-            images = [
-                translation(m_small, (1, 0)),
-                translation(m_small, (0, 1)),
-                _lattice_perm(m_small, lambda a, b: (-a, -b)),
-            ]
-            homs.append(hom(big, small, images))
+    if len({p.kind for p in parsed}) == 1 and parsed[0].kind in _CHAIN_FAMILIES:
+        groups, homs = _family_chain(parsed, cap)
         return groups[0], homs
     if [p.kind for p in parsed] == ["A", "SL23"] and parsed[0].param == 4:
         _, ext = sl2_cover(3, cap)

@@ -16,7 +16,7 @@ from .braid import BraidOrbit, CuspOrbit, braid_orbits, cusp_orbits, reduced_can
 from .cusps import ComponentDossier, component_dossier
 from .errors import ConfigError, MultiplePrimeClasses, NotPGroupKernel
 from .groups import FiniteGroup, GroupHom
-from .lifting import CentralExtension
+from .lifting import CentralExtension, is_frattini_cover
 from .nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
 
 
@@ -263,8 +263,9 @@ def _level_data(
     C: ClassMultiset,
     p: int,
     extension: CentralExtension | None,
+    below: tuple | None = None,
 ) -> TowerLevel:
-    inner = nielsen_inner_classes(group, C)
+    inner = nielsen_inner_classes(group, C, below)
     orbits = braid_orbits(reduced_classes(inner))
     dossiers = [
         component_dossier(orb, i + 1, p, extension) for i, orb in enumerate(orbits)
@@ -282,8 +283,9 @@ def build_graph(
     """Assemble the level-to-level graph over a composable chain of covers.
 
     chain[k] must map the level k+1 group onto the level k group; the
-    classes are matched upward from the base.  FP1 (p-cusp width growth)
-    and FP2 (g-p' cusp persistence) are evaluated on every computed edge.
+    classes are matched upward from the base, and a level over a Frattini
+    link is lifted from the level below.  FP1 (p-cusp width growth) and
+    FP2 (g-p' cusp persistence) are evaluated on every computed edge.
     """
     if base_classes.r != 4:
         raise ConfigError("tower graphs need r = 4 branch classes")
@@ -302,14 +304,12 @@ def build_graph(
     if len(exts) != len(groups):
         raise ConfigError("need one (possibly null) extension per level")
 
-    classes = [base_classes]
+    levels = [_level_data(groups[0], base_classes, p, exts[0])]
     for k, lm in enumerate(chain):
-        classes.append(
-            transfer_classes(match_classes(lm, classes[-1]), groups[k + 1])
-        )
-    levels = [
-        _level_data(g, c, p, e) for g, c, e in zip(groups, classes, exts)
-    ]
+        C = transfer_classes(match_classes(lm, levels[k].classes), groups[k + 1])
+        lower = (t for o in levels[k].orbits for c in o.classes for t in c.inner_canonicals)
+        below = (lm.psi, lower) if is_frattini_cover(lm.psi) else None
+        levels.append(_level_data(groups[k + 1], C, p, exts[k + 1], below))
     graph = TowerGraph(p, levels)
 
     orders = [g.element_orders for g in groups]

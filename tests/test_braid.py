@@ -201,15 +201,20 @@ TABLE_CASES = [
     ("D(9)", "2:4", 3),
     ("V2xPM(5)", "2:4", 5),
     ("S(4)", "(1 2):2,(1 2 3):2", 2),
+    ("SL23", "3+:2,3-:2", 2),
 ]
 
 
-def _case_orbits(spec, classes):
+def _case_inner(spec, classes):
     from nielsen_forge.config import parse_class_selector
     from nielsen_forge.presets import group_from_string
 
     G, _ = group_from_string(spec)
-    inner = nielsen_inner_classes(G, parse_class_selector(G, classes))
+    return G, nielsen_inner_classes(G, parse_class_selector(G, classes))
+
+
+def _case_orbits(spec, classes):
+    G, inner = _case_inner(spec, classes)
     return G, braid_orbits(reduced_classes(inner))
 
 
@@ -228,6 +233,19 @@ def test_braid_table_matches_per_move_canonicals(spec, classes, p):
             assert o.members[o.gamma_1[i]] == reduced_canonical(
                 G, ctx, _shift_ids(t)
             )
+
+
+@pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
+def test_q2_generators_read_off_the_sh_q2_table_match_direct_moves(spec, classes, p):
+    from nielsen_forge.braid import _braid_table, _q2_moves
+    from nielsen_forge.nielsen import canonical_context
+
+    G, inner = _case_inner(spec, classes)
+    keys = [c.canonical for c in inner]
+    _, _, sh2, q13inv = _braid_table(G, keys)
+    moves = _q2_moves(G, canonical_context(G))
+    for i, t in enumerate(keys):
+        assert (keys[sh2[i]], keys[q13inv[i]]) == moves(t)
 
 
 @pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
@@ -275,6 +293,40 @@ def test_reduction_and_orbits_canonicalize_a_bounded_number_of_times(monkeypatch
     orbits = braid_orbits(reduced_classes(inner))
     assert [o.size for o in orbits] == [len(inner)]
     assert len(calls) <= 8 * len(inner)
+
+
+def test_reduction_and_orbits_canonicalize_twice_per_inner_class(monkeypatch):
+    # sh and q2 are tabled with one canon call each; Q'' and the gamma
+    # arrays are read off that table
+    from nielsen_forge.nielsen import CanonicalContext
+
+    D25 = dihedral(25)
+    inv = [c for c in D25.conjugacy_classes() if c.element_order == 2][0]
+    inner = nielsen_inner_classes(D25, ClassMultiset([(inv, 4)]))
+    calls = []
+    canon = CanonicalContext.canon
+    monkeypatch.setattr(
+        CanonicalContext, "canon", lambda ctx, ids: calls.append(1) or canon(ctx, ids)
+    )
+    braid_orbits(reduced_classes(inner))
+    assert len(calls) == 2 * len(inner)
+
+
+def test_braid_table_escape_raises_typed_error():
+    # a Q''-orbit is closed under Q'' but its sh or q2 image leaves it
+    from nielsen_forge.errors import ClassListEscape
+
+    _, _, inner = _a4_setup()
+    by_canon = {c.canonical: c for c in inner}
+    leaving = [
+        r
+        for r in reduced_classes(inner)
+        if not {r.q2_image, r.sh_image} <= set(r.inner_canonicals)
+    ]
+    assert leaving
+    with pytest.raises(ClassListEscape) as err:
+        reduced_classes([by_canon[t] for t in leaving[0].inner_canonicals])
+    assert err.value.code == 25
 
 
 def test_q2_escape_raises_typed_error():

@@ -2,11 +2,17 @@ import json
 
 import pytest
 
+from nielsen_forge import tower
 from nielsen_forge.braid import braid_orbits, reduced_classes
+from nielsen_forge.config import parse_class_selector
 from nielsen_forge.errors import ConfigError, NotPGroupKernel
-from nielsen_forge.nielsen import ClassMultiset, nielsen_inner_classes
+from nielsen_forge.lifting import is_frattini_cover
+from nielsen_forge.nielsen import CanonicalContext, ClassMultiset, nielsen_inner_classes
 from nielsen_forge.presets import (
+    alternating,
+    chain_from_specs,
     dihedral_chain,
+    direct_product_with_cyclic,
     sl2_cover,
     v2_pm_chain,
 )
@@ -133,3 +139,103 @@ def test_single_level_graph_has_no_edges():
     g = build_graph([], C, 3)
     assert g.component_edges == [] and g.cusp_edges == []
     assert len(g.levels) == 1
+
+
+LIFT_CHAINS = [
+    ("D(5),D(25),D(125)", "2:4", 5),
+    ("V2xPM(3),V2xPM(9)", "2:4", 3),
+    ("A(4),SL23", "3+:2,3-:2", 2),
+    ("A(5),SL25", "3:4", 2),
+]
+
+
+def _matched_levels(specs, classes, p):
+    base, homs = chain_from_specs(specs.split(","))
+    links = [LevelMap(h, p) for h in homs]
+    Cs = [parse_class_selector(base, classes)]
+    for lm in links:
+        Cs.append(match_classes(lm, Cs[-1]))
+    return links, Cs
+
+
+def _pairs(inner):
+    return [(c.canonical, c.orbit_size) for c in inner]
+
+
+@pytest.mark.parametrize("specs, classes, p", LIFT_CHAINS)
+def test_frattini_lift_matches_direct_enumeration(specs, classes, p):
+    links, Cs = _matched_levels(specs, classes, p)
+    lower = nielsen_inner_classes(Cs[0].group, Cs[0])
+    for lm, C in zip(links, Cs[1:]):
+        assert is_frattini_cover(lm.psi)
+        direct = nielsen_inner_classes(C.group, C)
+        below = (lm.psi, [c.canonical for c in lower])
+        assert direct and _pairs(nielsen_inner_classes(C.group, C, below)) == _pairs(direct)
+        lower = direct
+
+
+@pytest.mark.parametrize("classes", ["2:4", "2:2,2:2"])
+def test_frattini_lift_canonicalizes_once_per_candidate(classes, monkeypatch):
+    # the candidates over t: T1 one lift of t1 (any lift gives the same
+    # count, the lifts being conjugate under the kernel), T2 and T3 every
+    # lift, T4 forced and kept in the class; a class repeated in C must
+    # not repeat candidates
+    links, Cs = _matched_levels("D(5),D(25),D(125)", classes, 5)
+    calls = []
+    canon = CanonicalContext.canon
+    monkeypatch.setattr(
+        CanonicalContext, "canon", lambda ctx, ids: calls.append(1) or canon(ctx, ids)
+    )
+    lower = nielsen_inner_classes(Cs[0].group, Cs[0])
+    for lm, C in zip(links, Cs[1:]):
+        G, psi = C.group, lm.psi.full_map
+        members = set(C.entries[0][0].member_ids)
+
+        def lifts(x):
+            return [y for y in range(G.order) if psi[y] == x and y in members]
+
+        expect = 0
+        for t in (c.canonical for c in lower):
+            a = lifts(t[0])[-1]
+            expect += sum(
+                G.inv[G.word((a, b, c))] in members
+                for b in lifts(t[1])
+                for c in lifts(t[2])
+            )
+        calls.clear()
+        lifted = nielsen_inner_classes(G, C, (lm.psi, [c.canonical for c in lower]))
+        assert len(calls) == expect
+        assert len({c.canonical for c in lifted}) == len(lifted) == expect
+        lower = lifted
+
+
+def _spy_on_lifts(monkeypatch):
+    lifted = []
+    enumerate_ = tower.nielsen_inner_classes
+
+    def spy(group, C, below=None):
+        lifted.append(below is not None)
+        return enumerate_(group, C, below)
+
+    monkeypatch.setattr(tower, "nielsen_inner_classes", spy)
+    return lifted
+
+
+def test_build_graph_lifts_over_frattini_links(monkeypatch):
+    lifted = _spy_on_lifts(monkeypatch)
+    g = _dihedral_graph(5, 2)
+    assert lifted == [False, True, True]
+    assert [sum(o.size for o in lv.orbits) for lv in g.levels] == [12, 300, 7500]
+
+
+def test_split_cover_is_enumerated_directly(monkeypatch):
+    # A4 x Z/2 -> A4 is not Frattini: the 3-cycle lifts generate A4 x 1
+    # only, so the upper level is empty and both base components are
+    # obstructed; lifting there would invent upper classes
+    lifted = _spy_on_lifts(monkeypatch)
+    A4 = alternating(4)
+    C = parse_class_selector(A4, "3+:2,3-:2")
+    g = build_graph([LevelMap(direct_product_with_cyclic(A4, 2), 2)], C, 2)
+    assert lifted == [False, False]
+    assert g.levels[1].orbits == []
+    assert g.obstructed == [(0, 0), (0, 1)]
