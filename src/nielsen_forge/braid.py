@@ -86,10 +86,11 @@ def q2_variants(
     return frozenset(orbit_of(canon, _q2_moves(group, ctx)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReducedClass:
     """Class under conjugation together with Q'' (r=4 only), with the inner
-    canonicals of q2 and sh applied to its canonical tuple."""
+    canonicals of q2 and sh applied to its canonical tuple and the positions,
+    in the sorted list reduced_classes returns, of the classes holding them."""
 
     group: FiniteGroup
     canonical: tuple[int, ...]
@@ -98,6 +99,8 @@ class ReducedClass:
     q2_orbit_length: int
     q2_image: tuple[int, ...]
     sh_image: tuple[int, ...]
+    q2_target: int
+    sh_target: int
 
     @property
     def tuple(self) -> NielsenTuple:
@@ -140,18 +143,29 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
     inner = sorted(inner, key=lambda c: c.canonical)
     keys = [c.canonical for c in inner]
     sh, q2, sh2, q13inv = _braid_table(group, keys)
-    return [
-        ReducedClass(
-            group,
-            keys[m[0]],
-            tuple(keys[j] for j in m),
-            sum(inner[j].orbit_size for j in m),
-            len(m),
-            keys[q2[m[0]]],
-            keys[sh[m[0]]],
+    orbits = partition_orbits(range(len(keys)), lambda i: (sh2[i], q13inv[i]))
+    sizes = [c.orbit_size for c in inner]
+    reduced_of = [0] * len(keys)
+    for r, m in enumerate(orbits):
+        for j in m:
+            reduced_of[j] = r
+    out = []
+    for m in orbits:
+        a = m[0]
+        out.append(
+            ReducedClass(
+                group,
+                keys[a],
+                tuple(map(keys.__getitem__, m)),
+                sum(map(sizes.__getitem__, m)),
+                len(m),
+                keys[q2[a]],
+                keys[sh[a]],
+                reduced_of[q2[a]],
+                reduced_of[sh[a]],
+            )
         )
-        for m in partition_orbits(range(len(keys)), lambda i: (sh2[i], q13inv[i]))
-    ]
+    return out
 
 
 def reduced_canonical(
@@ -176,7 +190,6 @@ class BraidOrbit:
         self.group = group
         self.classes = tuple(classes)
         self.members = tuple(c.canonical for c in self.classes)
-        self._index = {t: i for i, t in enumerate(self.members)}
         self.gamma_inf: Perm = tuple(gamma_inf)
         self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
@@ -193,9 +206,6 @@ class BraidOrbit:
             "gamma_inf": self.gamma_inf,
         }
 
-    def index_of(self, canonical: tuple[int, ...]) -> int:
-        return self._index[canonical]
-
     def q2_lengths(self) -> list[int]:
         return [c.q2_orbit_length for c in self.classes]
 
@@ -203,31 +213,34 @@ class BraidOrbit:
 def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     """Partition reduced classes into components; deterministic order.
 
-    gamma_inf = q2 and gamma_1 = sh are read off the q2 and sh images that
-    reduced_classes tabled, through the inner canonical -> reduced index
-    map; components are the orbits of the two arrays.
+    ``reduced`` is the sorted list reduced_classes returned: gamma_inf = q2
+    and gamma_1 = sh are its q2_target and sh_target positions, and
+    components are the orbits of the two arrays.
     """
     if not reduced:
         return []
     group = reduced[0].group
     if len(reduced[0].canonical) != 4:
         raise RankNotFour("braid orbits on reduced classes need r = 4")
-    reduced = sorted(reduced, key=lambda c: c.canonical)
-    index = {t: i for i, c in enumerate(reduced) for t in c.inner_canonicals}
-
-    def target(t: tuple[int, ...]) -> int:
-        i = index.get(t)
-        if i is None:
-            raise ClassListEscape("braid action left the reduced class list")
-        return i
-
-    gamma_inf = [target(c.q2_image) for c in reduced]
-    gamma_1 = [target(c.sh_image) for c in reduced]
+    try:
+        escaped = any(
+            c.q2_image not in reduced[c.q2_target].inner_canonicals
+            or c.sh_image not in reduced[c.sh_target].inner_canonicals
+            for c in reduced
+        )
+    except IndexError:
+        escaped = True
+    if escaped:
+        raise ClassListEscape("braid action left the reduced class list")
+    gamma_inf = [c.q2_target for c in reduced]
+    gamma_1 = [c.sh_target for c in reduced]
+    local = [0] * len(reduced)
     orbits = []
     for members in partition_orbits(
         range(len(reduced)), lambda i: (gamma_inf[i], gamma_1[i])
     ):
-        local = {g: j for j, g in enumerate(members)}
+        for j, g in enumerate(members):
+            local[g] = j
         orbits.append(
             BraidOrbit(
                 group,
@@ -296,16 +309,21 @@ def absolute_reduced_classes(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CuspOrbit:
-    """A gamma_inf orbit inside one braid orbit; its size is the width."""
+    """A gamma_inf orbit inside one braid orbit; its size is the width.
+
+    Members are held both as canonicals and as positions in the orbit, in
+    the same (ascending) order.
+    """
 
     orbit: BraidOrbit
     member_canonicals: tuple[tuple[int, ...], ...]
+    member_indices: tuple[int, ...]
 
     @property
     def width(self) -> int:
-        return len(self.member_canonicals)
+        return len(self.member_indices)
 
     @property
     def group(self) -> FiniteGroup:
@@ -313,14 +331,25 @@ class CuspOrbit:
 
 
 def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
-    """gamma_inf cycles, each one cusp; ordered by least member canonical.
+    """gamma_inf cycles, each one cusp; ordered by least member.
 
-    Computed once per orbit and kept on it.
+    The members are sorted by canonical, so position order is canonical
+    order.  Computed once per orbit and kept on it.
     """
     if orbit._cusps is None:
-        cusps = (
-            CuspOrbit(orbit, tuple(sorted(orbit.members[i] for i in cyc)))
-            for cyc in P.cycles(orbit.gamma_inf)
+        members = orbit.members
+        orbit._cusps = tuple(
+            CuspOrbit(orbit, tuple(members[i] for i in idx), idx)
+            # P.cycles lists the cycles by least point
+            for idx in (tuple(sorted(c)) for c in P.cycles(orbit.gamma_inf))
         )
-        orbit._cusps = tuple(sorted(cusps, key=lambda c: c.member_canonicals[0]))
     return orbit._cusps
+
+
+def cusp_of(orbit: BraidOrbit) -> list[int]:
+    """Position in cusp_orbits(orbit) of the cusp through each member."""
+    out = [0] * orbit.size
+    for j, cusp in enumerate(cusp_orbits(orbit)):
+        for i in cusp.member_indices:
+            out[i] = j
+    return out

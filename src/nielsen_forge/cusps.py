@@ -15,7 +15,7 @@ from importlib import resources
 from math import lcm
 
 from . import perm as P
-from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_orbits
+from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_of, cusp_orbits
 from .errors import (
     ClosureExceedsCap,
     FormulaMismatch,
@@ -164,8 +164,7 @@ def classify_cusp(
     mps = set()
     is_hm = False
     is_shift = False
-    for ids in cusp.member_canonicals:
-        i = orbit.index_of(ids)
+    for i, ids in zip(cusp.member_indices, cusp.member_canonicals):
         g1, g2, g3, g4 = ids
         mp = orders[group.mul(g2, g3)]
         mps.add(mp)
@@ -226,17 +225,18 @@ class ShIncidence:
 def sh_incidence(
     orbit: BraidOrbit, orbit_number: int = 1, *, use_gamma_0: bool = False
 ) -> ShIncidence:
-    """Cusp-pairing matrix; identical whether sh or gamma_0 drives it."""
+    """Cusp-pairing matrix; identical whether sh or gamma_0 drives it.
+
+    Entry (a, b) counts the members i of cusp b with action(i) in cusp a,
+    in one pass over the action.
+    """
     cusps = cusp_orbits(orbit)
     action = orbit.gamma_0 if use_gamma_0 else orbit.gamma_1
-    index_sets = [
-        frozenset(orbit.index_of(t) for t in c.member_canonicals) for c in cusps
-    ]
-    images = [frozenset(action[i] for i in s) for s in index_sets]
-    matrix = tuple(
-        tuple(len(index_sets[a] & images[b]) for b in range(len(cusps)))
-        for a in range(len(cusps))
-    )
+    where = cusp_of(orbit)
+    counts = [[0] * len(cusps) for _ in cusps]
+    for i, b in enumerate(where):
+        counts[where[action[i]]][b] += 1
+    matrix = tuple(map(tuple, counts))
     labels = tuple(f"O_{{{orbit_number},{j + 1}}}" for j in range(len(cusps)))
     return ShIncidence(labels, matrix)
 

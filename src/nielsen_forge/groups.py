@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import perm as P
@@ -56,35 +57,37 @@ def close_under_product(
     return sorted(seen)
 
 
+def _grow(orbit: list, seen: set, moves, keys, escape) -> list:
+    """Append to orbit, whose points are in seen, every new point moves reach."""
+    for t in orbit:
+        for u in moves(t):
+            if u not in seen:
+                if keys is not None and u not in keys:
+                    raise escape
+                seen.add(u)
+                orbit.append(u)
+    return orbit
+
+
 def orbit_of(start, moves, keys=None, escape: Exception | None = None) -> set:
     """Closure of {start} under moves(t); an image outside keys raises escape."""
     orbit = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for t in frontier:
-            for u in moves(t):
-                if u not in orbit:
-                    if keys is not None and u not in keys:
-                        raise escape
-                    orbit.add(u)
-                    new.append(u)
-        frontier = new
+    _grow([start], orbit, moves, keys, escape)
     return orbit
 
 
 def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list]:
     """Orbits of moves on keys, each sorted, in order of least member.
 
-    The sorted keys are visited once; members of earlier orbits are skipped.
+    The moves must act by permutations, so that orbits are disjoint: the
+    sorted keys are visited once and one set marks every point reached.
     """
     seen: set = set()
     out = []
     for start in sorted(keys):
         if start not in seen:
-            orbit = orbit_of(start, moves, keys, escape)
-            seen |= orbit
-            out.append(sorted(orbit))
+            seen.add(start)
+            out.append(sorted(_grow([start], seen, moves, keys, escape)))
     return out
 
 
@@ -176,8 +179,24 @@ class FiniteGroup:
 
     @property
     def element_orders(self) -> list[int]:
+        """Orders from the power map: one walk x, x^2, ... per cyclic
+        subgroup not yet seen, and x^k has order n / gcd(n, k)."""
         if self._orders is None:
-            self._orders = [P.order(p) for p in self.elements]
+            e = self.identity_id
+            orders = [0] * self.order
+            orders[e] = 1
+            for x in range(self.order):
+                if orders[x]:
+                    continue
+                powers = [x]
+                y = self.mul(x, x)
+                while y != e:
+                    powers.append(y)
+                    y = self.mul(y, x)
+                n = len(powers) + 1
+                for k, y in enumerate(powers, 1):
+                    orders[y] = n // gcd(n, k)
+            self._orders = orders
         return self._orders
 
     def conj(self, x: int, h: int) -> int:

@@ -8,6 +8,7 @@ generator, rendered +-1 when the kernel has order 2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,7 @@ from .errors import (
     NotSurjective,
     OrderNotPrime,
 )
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, partition_orbits
 from .perm import Perm
 
 
@@ -213,20 +214,30 @@ def factor_through_pairs(
 
 
 def is_frattini_cover(phi: GroupHom) -> bool:
-    """True iff every choice of generator preimages generates the source."""
+    """True iff every choice of generator preimages generates the source.
+
+    Conjugation by ker phi maps each fiber to itself and keeps generation,
+    so one generator's preimage is taken once per kernel orbit: that of
+    the generator whose fiber has the fewest orbits.
+    """
     if not phi.is_surjective:
         raise NotSurjective("Frattini check needs a surjective cover")
     src, tgt = phi.source, phi.target
     fibers: list[list[int]] = [[] for _ in range(tgt.order)]
     for r, g in enumerate(phi.full_map):
         fibers[g].append(r)
-    gen_fibers = [fibers[tgt.id_of(g)] for g in tgt.generators]
-    import itertools
-
-    for combo in itertools.product(*gen_fibers):
-        if len(src.subgroup_closure(combo)) != src.order:
-            return False
-    return True
+    choices = [fibers[tgt.id_of(g)] for g in tgt.generators]
+    kernel = phi.kernel_ids
+    reps = [
+        [o[0] for o in partition_orbits(f, lambda x: (src.conj(x, k) for k in kernel))]
+        for f in choices
+    ]
+    i = min(range(len(reps)), key=lambda j: len(reps[j]))
+    choices[i] = reps[i]
+    return all(
+        len(src.subgroup_closure(combo)) == src.order
+        for combo in itertools.product(*choices)
+    )
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def canonical_context(group: FiniteGroup) -> CanonicalContext:
     return ctx
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InnerClass:
     """Conjugation class of Nielsen tuples, held by its canonical tuple."""
 

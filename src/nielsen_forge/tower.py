@@ -12,7 +12,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .braid import BraidOrbit, CuspOrbit, braid_orbits, cusp_orbits, reduced_canonical, reduced_classes
+from .braid import (
+    BraidOrbit,
+    CuspOrbit,
+    braid_orbits,
+    cusp_of,
+    cusp_orbits,
+    reduced_canonical,
+    reduced_classes,
+)
 from .cusps import ComponentDossier, component_dossier
 from .errors import ConfigError, MultiplePrimeClasses, NotPGroupKernel
 from .groups import FiniteGroup, GroupHom
@@ -315,28 +323,26 @@ def build_graph(
     orders = [g.element_orders for g in groups]
     for k, lm in enumerate(chain):
         down, up = levels[k], levels[k + 1]
-        down_member_to_orbit = {}
-        down_member_to_cusp = {}
-        for i, orb in enumerate(down.orbits):
-            for t in orb.members:
-                down_member_to_orbit[t] = i
-            for j, cusp in enumerate(down.cusps[i]):
-                for t in cusp.member_canonicals:
-                    down_member_to_cusp[t] = (i, j)
+        # reduced canonical -> (orbit, position) downstairs
+        down_at = {
+            t: (i, j)
+            for i, orb in enumerate(down.orbits)
+            for j, t in enumerate(orb.members)
+        }
+        down_cusp_of = [cusp_of(orb) for orb in down.orbits]
         covered_components = set()
         covered_cusps = set()
         for ui, uorb in enumerate(up.orbits):
-            proj = project_reduced(lm, uorb.members[0])
-            di = down_member_to_orbit[proj]
+            di, _ = down_at[project_reduced(lm, uorb.members[0])]
             graph.component_edges.append((k, ui, di))
             covered_components.add(di)
             for uj, ucusp in enumerate(up.cusps[ui]):
-                cproj = project_reduced(lm, ucusp.member_canonicals[0])
-                dcusp = down_member_to_cusp[cproj]
+                up_rep = ucusp.member_canonicals[0]
+                down_rep = project_reduced(lm, up_rep)
+                i, j = down_at[down_rep]
+                dcusp = (i, down_cusp_of[i][j])
                 graph.cusp_edges.append((k, (ui, uj), dcusp))
                 covered_cusps.add(dcusp)
-                down_rep = cproj
-                up_rep = ucusp.member_canonicals[0]
                 down_mp = orders[k][
                     groups[k].mul(down_rep[1], down_rep[2])
                 ]

@@ -369,3 +369,38 @@ except BraidInvariantBroken as exc:
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised 26"
+
+
+def test_braid_orbits_reject_a_list_reduced_classes_did_not_return():
+    # gamma_inf and gamma_1 are read off positions in the sorted list
+    from nielsen_forge.errors import ClassListEscape
+
+    _, _, inner = _a4_setup()
+    red = reduced_classes(inner)
+    for wrong in (red[::-1], red[:-1]):
+        with pytest.raises(ClassListEscape) as err:
+            braid_orbits(wrong)
+        assert err.value.code == 25
+
+
+@pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
+def test_cusp_member_positions_match_canonicals(spec, classes, p):
+    G, orbits = _case_orbits(spec, classes)
+    for o in orbits:
+        cusps = cusp_orbits(o)
+        assert sorted(i for c in cusps for i in c.member_indices) == list(range(o.size))
+        for c in cusps:
+            assert list(c.member_indices) == sorted(c.member_indices)
+            assert c.member_canonicals == tuple(o.members[i] for i in c.member_indices)
+            assert c.width == len(c.member_canonicals)
+
+
+def test_class_records_are_slotted_values():
+    A4, C, inner = _a4_setup()
+    red = reduced_classes(inner)
+    orbit = braid_orbits(red)[0]
+    for record in (inner[0], red[0], cusp_orbits(orbit)[0]):
+        assert not hasattr(record, "__dict__")
+    # equality compares the fields, not the objects
+    assert nielsen_inner_classes(A4, C) == inner
+    assert reduced_classes(inner) == red

@@ -205,10 +205,11 @@ def test_gamma_fixed_points_sit_on_nonzero_diagonal():
     for orbit in orbits:
         cusps = cusp_orbits(orbit)
         m = sh_incidence(orbit, 1)
+        position = {t: i for i, t in enumerate(orbit.members)}
         index_of = {}
         for j, c in enumerate(cusps):
             for t in c.member_canonicals:
-                index_of[orbit.index_of(t)] = j
+                index_of[position[t]] = j
         for action in (orbit.gamma_1, orbit.gamma_0):
             for i, img in enumerate(action):
                 if img == i:
@@ -239,3 +240,43 @@ def test_modular_table_invariants():
         assert all(e.level % 1 == 0 for _ in (e,))
     x2 = [e for e in table if e.family == "X" and e.level == 2][0]
     assert x2.degree == 6 and list(x2.widths) == [2, 2, 2]
+
+
+SH_CASES = [
+    ("A(4)", "3+:2,3-:2"),
+    ("A(5)", "3:4"),
+    ("D(9)", "2:4"),
+    ("D(25)", "2:4"),
+    ("V2xPM(5)", "2:4"),
+    ("SL23", "3+:2,3-:2"),
+]
+
+
+def _sh_incidence_by_definition(orbit, use_gamma_0):
+    """|O_a intersect (O_b)sh| as frozenset intersections of member positions."""
+    cusps = cusp_orbits(orbit)
+    action = orbit.gamma_0 if use_gamma_0 else orbit.gamma_1
+    position = {t: i for i, t in enumerate(orbit.members)}
+    index_sets = [
+        frozenset(position[t] for t in c.member_canonicals) for c in cusps
+    ]
+    images = [frozenset(action[i] for i in s) for s in index_sets]
+    return tuple(
+        tuple(len(index_sets[a] & images[b]) for b in range(len(cusps)))
+        for a in range(len(cusps))
+    )
+
+
+@pytest.mark.parametrize("use_gamma_0", [False, True])
+@pytest.mark.parametrize("spec, classes", SH_CASES)
+def test_sh_incidence_matches_frozenset_definition(spec, classes, use_gamma_0):
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.presets import group_from_string
+
+    G, _ = group_from_string(spec)
+    inner = nielsen_inner_classes(G, parse_class_selector(G, classes))
+    for orbit in braid_orbits(reduced_classes(inner)):
+        m = sh_incidence(orbit, 1, use_gamma_0=use_gamma_0)
+        assert m.matrix == _sh_incidence_by_definition(orbit, use_gamma_0)
+        # sh is an involution, so the pairing is symmetric
+        assert m.is_symmetric

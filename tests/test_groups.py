@@ -140,3 +140,22 @@ def test_inverse_table():
     A4 = alternating(4)
     for x in range(A4.order):
         assert A4.mul(x, A4.inv[x]) == A4.identity_id
+
+
+@pytest.mark.parametrize("spec", ["D(125)", "A(6)", "SL25", "V2xPM(5)", "S(4)"])
+def test_element_orders_match_cycle_orders(spec):
+    from nielsen_forge.presets import group_from_string
+
+    G, _ = group_from_string(spec)
+    assert G.element_orders == [P.order(p) for p in G.elements]
+
+
+def test_element_orders_without_the_table(monkeypatch):
+    import nielsen_forge.groups as groups
+
+    monkeypatch.setattr(groups, "MUL_TABLE_MAX", 0)
+    A5 = alternating(5)
+    A5.mul(0, 0)
+    monkeypatch.undo()
+    assert A5._mul is None
+    assert A5.element_orders == [P.order(p) for p in A5.elements]

@@ -126,3 +126,45 @@ def test_jennings():
     assert prof.total == 5**5 and prof.is_palindromic
     with pytest.raises(ValueError):
         jennings_dims(3, 0)
+
+
+def _exhaustive_frattini(phi):
+    """Every product of generator fibers generates: the definition."""
+    import itertools
+
+    src, tgt = phi.source, phi.target
+    fibers = [
+        [r for r in range(src.order) if phi.full_map[r] == tgt.id_of(g)]
+        for g in tgt.generators
+    ]
+    return all(
+        len(src.subgroup_closure(combo)) == src.order
+        for combo in itertools.product(*fibers)
+    )
+
+
+def _chain_link(*specs):
+    from nielsen_forge.presets import chain_from_specs
+
+    return chain_from_specs(list(specs))[1][-1]
+
+
+FRATTINI_CASES = {
+    "heisenberg(3)": lambda: heisenberg(3)[1].proj,
+    "heisenberg(5)": lambda: heisenberg(5)[1].proj,
+    "SL23->A4": lambda: sl2_cover(3)[1].proj,
+    "A4xZ3->A4": lambda: direct_product_with_cyclic(alternating(4), 3),
+    "A4xZ2->A4": lambda: direct_product_with_cyclic(alternating(4), 2),
+    # the kernel <r^3> is central and complemented: two kernel orbits over
+    # the rotation, one generating and one not
+    "D(6)->D(3)": lambda: _chain_link("D(3)", "D(6)"),
+    "D(25)->D(5)": lambda: _chain_link("D(5)", "D(25)"),
+    "D(125)->D(25)": lambda: _chain_link("D(25)", "D(125)"),
+    "V2xPM(9)->V2xPM(3)": lambda: _chain_link("V2xPM(3)", "V2xPM(9)"),
+}
+
+
+@pytest.mark.parametrize("name", FRATTINI_CASES)
+def test_is_frattini_cover_matches_exhaustive_product(name):
+    phi = FRATTINI_CASES[name]()
+    assert is_frattini_cover(phi) == _exhaustive_frattini(phi)

@@ -309,3 +309,47 @@ def test_full_generation_test_runs_once_per_canonical_form(
     nielsen_inner_classes(G, C)
     assert tested
     assert len(tested) == len(set(tested))
+
+
+CLASS_ALGEBRA_CASES = [
+    ("A(4)", "3+:2,3-:2"),
+    ("A(4)", "3+:3"),
+    ("A(4)", "3+:4,3-:1"),
+    ("A(5)", "3:4"),
+    ("A(5)", "5+:1,5-:1,3:1"),
+    ("S(4)", "(1 2):2,(1 2 3):2"),
+    ("D(9)", "2:4"),
+    ("D(15)", "2:4"),
+    ("V2xPM(3)", "2:4"),
+    ("V2xPM(5)", "2:4"),
+    ("V2xZ3(2)", "3+:2,3-:2"),
+    ("V2xZ3(5)", "3+:2,3-:2"),
+    ("SL23", "3+:2,3-:2"),
+]
+
+
+def _class_algebra_count(G, pattern):
+    """Product-one tuples in C_1 x ... x C_r: the identity coefficient of
+    the product of the class indicator vectors in the group algebra."""
+    v = [0] * G.order
+    for x in pattern[0].member_ids:
+        v[x] += 1
+    for cls in pattern[1:]:
+        w = [0] * G.order
+        for g, c in enumerate(v):
+            if c:
+                for h in cls.member_ids:
+                    w[G.mul(g, h)] += c
+        v = w
+    return v[G.identity_id]
+
+
+@pytest.mark.parametrize("spec, classes", CLASS_ALGEBRA_CASES)
+def test_product_one_candidates_match_class_algebra(spec, classes):
+    from nielsen_forge.nielsen import _patterns, _product_one_candidates
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    for pattern in _patterns(C):
+        found = _product_one_candidates(G, pattern, pattern[0].member_ids)
+        assert len(set(found)) == len(found) == _class_algebra_count(G, pattern)
