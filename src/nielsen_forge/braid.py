@@ -199,13 +199,6 @@ class BraidOrbit:
     def size(self) -> int:
         return len(self.members)
 
-    def gamma_perms(self) -> dict[str, Perm]:
-        return {
-            "gamma_0": self.gamma_0,
-            "gamma_1": self.gamma_1,
-            "gamma_inf": self.gamma_inf,
-        }
-
     def q2_lengths(self) -> list[int]:
         return [c.q2_orbit_length for c in self.classes]
 

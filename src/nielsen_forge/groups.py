@@ -57,6 +57,13 @@ def close_under_product(
     return sorted(seen)
 
 
+def is_p_power(n: int, p: int) -> bool:
+    """True iff n = p^k for some k >= 0."""
+    while n > 1 and n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _grow(orbit: list, seen: set, moves, keys, escape) -> list:
     """Append to orbit, whose points are in seen, every new point moves reach."""
     for t in orbit:
@@ -137,21 +144,19 @@ class FiniteGroup:
         e = self.identity_id
         for a in range(n):
             table[a][e] = a
-        # BFS over right-multiplication words so each new column is one
-        # generator-column application away from a finished column.
-        done = {e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for c in frontier:
-                for gid, col in cols.items():
-                    b = col[c]
-                    if b not in done:
-                        done.add(b)
-                        new.append(b)
-                        for a in range(n):
-                            table[a][b] = col[table[a][c]]
-            frontier = new
+        # Right-multiplication words in BFS order: each column b is filled
+        # from the column c it was first reached from, which comes before b.
+        parent: dict[int, tuple[int, list[int]]] = {}
+
+        def moves(c):
+            for col in cols.values():
+                parent.setdefault(col[c], (c, col))
+                yield col[c]
+
+        for b in _grow([e], {e}, moves, None, None)[1:]:
+            c, col = parent[b]
+            for a in range(n):
+                table[a][b] = col[table[a][c]]
         self._mul = table
         self.inv  # conj reads _inv whenever the table exists
 
@@ -215,28 +220,14 @@ class FiniteGroup:
     # -- structure queries ----------------------------------------------
 
     def conjugacy_classes(self) -> list["ConjClass"]:
+        """Classes sorted by (size, least member id), the order reports print."""
         if self._classes is None:
-            seen = [False] * self.order
-            classes = []
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    new = []
-                    for y in frontier:
-                        for gid in self.generator_ids:
-                            z = self.conj(y, gid)
-                            if z not in orbit:
-                                orbit.add(z)
-                                new.append(z)
-                    frontier = new
-                for y in orbit:
-                    seen[y] = True
-                classes.append(tuple(sorted(orbit)))
-            classes.sort(key=lambda ids: (len(ids), ids[0]))
-            self._classes = [ConjClass(self, ids) for ids in classes]
+            gens, conj = self.generator_ids, self.conj
+            orbits = partition_orbits(
+                range(self.order), lambda x: [conj(x, g) for g in gens]
+            )
+            orbits.sort(key=lambda ids: (len(ids), ids[0]))
+            self._classes = [ConjClass(self, tuple(ids)) for ids in orbits]
         return self._classes
 
     def class_of(self, x: int) -> "ConjClass":
@@ -253,36 +244,22 @@ class FiniteGroup:
             if all(self.mul(x, g) == self.mul(g, x) for g in gens)
         ]
 
-    def subgroup_closure(self, ids: Iterable[int], cap: int | None = None) -> frozenset[int]:
-        # A closure inside G never passes |G|, which G's own build already
-        # held to the cap; only an explicit cap can stop it early.
-        limit = cap if cap is not None else self.order
-        gens = sorted(set(ids))
-        seen = {self.identity_id}
-        frontier = [self.identity_id]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-                        if len(seen) > limit:
-                            raise ClosureExceedsCap(
-                                f"subgroup closure exceeds cap {limit}"
-                            )
-            frontier = new
-        return frozenset(seen)
+    def subgroup_closure(self, ids: Iterable[int]) -> frozenset[int]:
+        gens, mul = set(ids), self.mul
+        return frozenset(orbit_of(self.identity_id, lambda x: [mul(x, g) for g in gens]))
 
     def normal_closure(self, ids: Iterable[int]) -> frozenset[int]:
-        seed = set(ids)
-        while True:
-            sub = self.subgroup_closure(seed)
-            conj = {self.conj(x, g) for x in sub for g in self.generator_ids}
-            if conj <= sub:
-                return sub
-            seed = sub | conj
+        """Closure of {1} under x -> x*s (s in ids) and conjugation by the
+        generators.  That set is also closed under x -> x * h s h^-1, since
+        x * h s h^-1 = h (h^-1 x h * s) h^-1, so it is the subgroup the
+        conjugates of ids generate."""
+        seed, gens, mul, conj = set(ids), self.generator_ids, self.mul, self.conj
+        return frozenset(
+            orbit_of(
+                self.identity_id,
+                lambda x: [mul(x, s) for s in seed] + [conj(x, g) for g in gens],
+            )
+        )
 
     def derived_subgroup_ids(self) -> frozenset[int]:
         comms = {
@@ -324,7 +301,7 @@ class ConjClass:
         g = self.group
         x = self.member_ids[0]
         y = g.identity_id
-        for _ in range(n % g.element_orders[x] if g.element_orders[x] else 0):
+        for _ in range(n % g.element_orders[x]):
             y = g.mul(y, x)
         return g.class_of(y)
 
@@ -358,10 +335,7 @@ class SubgroupView:
         self.order = len(ids)
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return is_p_power(self.order, p)
 
     def is_p_prime(self, p: int) -> bool:
         return self.order % p != 0
@@ -384,11 +358,8 @@ class SubgroupView:
         return [self.group.perm(i) for i in sorted(self.ids)]
 
 
-def subgroup_query(
-    G: FiniteGroup, elems: Sequence[Perm], cap: int | None = None
-) -> SubgroupView:
-    ids = G.subgroup_closure((G.id_of(p) for p in elems), cap)
-    return SubgroupView(G, ids)
+def subgroup_query(G: FiniteGroup, elems: Sequence[Perm]) -> SubgroupView:
+    return SubgroupView(G, G.subgroup_closure(G.id_of(p) for p in elems))
 
 
 class GroupHom:
@@ -474,9 +445,6 @@ class GroupHom:
     def apply_id(self, x: int) -> int:
         return self.full_map[x]
 
-    def kernel_view(self) -> SubgroupView:
-        return SubgroupView(self.source, frozenset(self.kernel_ids))
-
     def then(self, other: "GroupHom") -> "GroupHom":
         if other.source is not self.target:
             raise NotAHomomorphism("composition endpoints disagree")
@@ -490,10 +458,6 @@ def hom(
     generator_images: Sequence[Perm],
 ) -> GroupHom:
     return GroupHom(source, target, generator_images)
-
-
-def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, list(G.generators), verify=False)
 
 
 def is_normal(G: FiniteGroup, ids: frozenset[int]) -> bool:
@@ -529,19 +493,9 @@ def maximal_normal_p_subgroup(G: FiniteGroup, p: int) -> frozenset[int]:
     orders = G.element_orders
     seeds = []
     for cls in G.conjugacy_classes():
-        o = orders[cls.member_ids[0]]
-        n = o
-        while n % p == 0:
-            n //= p
-        if o > 1 and n == 1:
-            closure = G.normal_closure([cls.member_ids[0]])
-            m = len(closure)
-            while m % p == 0:
-                m //= p
-            if m == 1:
-                seeds.extend(cls.member_ids)
-    if not seeds:
-        return frozenset({G.identity_id})
+        x = cls.member_ids[0]
+        if is_p_power(orders[x], p) and is_p_power(len(G.normal_closure([x])), p):
+            seeds.extend(cls.member_ids)
     return G.normal_closure(seeds)
 
 
@@ -562,14 +516,7 @@ def frattini_of_p_group(G: FiniteGroup, ids: frozenset[int], p: int) -> frozense
 
 def p_part_of_center(G: FiniteGroup, p: int) -> list[int]:
     orders = G.element_orders
-    out = []
-    for x in G.center_ids():
-        n = orders[x]
-        while n % p == 0:
-            n //= p
-        if n == 1 and orders[x] > 1:
-            out.append(x)
-    return out
+    return [x for x in G.center_ids() if orders[x] > 1 and is_p_power(orders[x], p)]
 
 
 def reduce_p_center(

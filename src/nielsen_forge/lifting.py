@@ -14,12 +14,14 @@ from typing import Sequence
 
 from . import perm as P
 from .errors import (
+    ConfigError,
     GenusHypothesisFails,
     MiddleProductNotPrime,
+    NotPGroupKernel,
     NotSurjective,
     OrderNotPrime,
 )
-from .groups import FiniteGroup, GroupHom, partition_orbits
+from .groups import FiniteGroup, GroupHom, is_p_power, orbit_of, partition_orbits
 from .perm import Perm
 
 
@@ -35,7 +37,7 @@ class CentralExtension:
         p: int,
     ):
         if proj.source is not R or proj.target is not G:
-            raise ValueError("projection endpoints disagree with R, G")
+            raise ConfigError("projection endpoints disagree with R, G")
         if not proj.is_surjective:
             raise NotSurjective("central extension projection must be onto")
         self.R = R
@@ -50,18 +52,17 @@ class CentralExtension:
             x = R.mul(x, self.kernel_gen_id)
         self.kernel_power_ids = powers
         self.kernel_order = len(powers)
-        n = self.kernel_order
-        while n % p == 0:
-            n //= p
-        if n != 1 or self.kernel_order == 1:
-            raise ValueError("kernel generator must have nontrivial p-power order")
+        if self.kernel_order == 1 or not is_p_power(self.kernel_order, p):
+            raise NotPGroupKernel(
+                f"kernel order {self.kernel_order} is not a nontrivial power of {p}"
+            )
         if set(powers) != set(proj.kernel_ids):
-            raise ValueError("kernel generator does not generate ker(proj)")
+            raise ConfigError("kernel generator does not generate ker(proj)")
         if any(
             R.mul(self.kernel_gen_id, g) != R.mul(g, self.kernel_gen_id)
             for g in R.generator_ids
         ):
-            raise ValueError("kernel generator is not central")
+            raise ConfigError("kernel generator is not central")
         self._exponent = {z: e for e, z in enumerate(powers)}
         fibers: list[list[int]] = [[] for _ in range(G.order)]
         for r, g in enumerate(proj.full_map):
@@ -157,17 +158,7 @@ def spin_parity(entries: Sequence[Perm], n: int) -> int:
         raise ValueError("entries must act on n points")
     if any(P.order(g) % 2 == 0 for g in entries):
         raise OrderNotPrime("spin parity needs odd-order entries")
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in entries:
-                if g[x] not in orbit:
-                    orbit.add(g[x])
-                    new.append(g[x])
-        frontier = new
-    if len(orbit) != n:
+    if len(orbit_of(0, lambda x: [g[x] for g in entries])) != n:
         raise GenusHypothesisFails("tuple is not transitive on the n points")
     ind_sum = sum(P.index(g) for g in entries)
     if ind_sum != 2 * (n - 1):

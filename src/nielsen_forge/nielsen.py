@@ -48,10 +48,6 @@ class ClassMultiset:
             out.extend([cls] * mult)
         return out
 
-    def multiset_key(self) -> tuple[int, ...]:
-        """Sorted class identifiers (by least member id), with repeats."""
-        return tuple(sorted(c.member_ids[0] for c in self.classes_with_repeats))
-
     def label(self) -> str:
         return ",".join(f"{c.label()}:{m}" for c, m in self.entries)
 
@@ -70,9 +66,6 @@ class NielsenTuple:
     @property
     def perms(self) -> tuple[Perm, ...]:
         return tuple(self.group.perm(i) for i in self.ids)
-
-    def product_id(self) -> int:
-        return self.group.word(self.ids)
 
     def __str__(self) -> str:
         from .perm import format_cycles

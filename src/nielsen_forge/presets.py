@@ -16,7 +16,7 @@ from math import gcd
 
 from . import perm as P
 from .errors import ConfigError, PresetOrderMismatch
-from .groups import FiniteGroup, GroupHom, generate, hom
+from .groups import FiniteGroup, GroupHom, generate, hom, orbit_of
 from .lifting import CentralExtension
 from .perm import Perm
 
@@ -258,16 +258,7 @@ def _unit_generators(m: int) -> list[int]:
         if u in have:
             continue
         gens.append(u)
-        frontier = list(have)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    w = (v * g) % m
-                    if w not in have:
-                        have.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        have = orbit_of(1, lambda v: [(v * g) % m for g in gens])
         if len(have) == len(units):
             break
     return gens

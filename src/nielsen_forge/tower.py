@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Sequence
 
 from .braid import (
@@ -23,15 +24,9 @@ from .braid import (
 )
 from .cusps import ComponentDossier, component_dossier
 from .errors import ConfigError, MultiplePrimeClasses, NotPGroupKernel
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, is_p_power
 from .lifting import CentralExtension, is_frattini_cover
 from .nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class LevelMap:
     def __post_init__(self):
         if not self.psi.is_surjective:
             raise ConfigError("level maps must be surjective")
-        if not _is_p_power(len(self.psi.kernel_ids), self.p):
+        if not is_p_power(len(self.psi.kernel_ids), self.p):
             raise NotPGroupKernel(
                 f"kernel order {len(self.psi.kernel_ids)} is not a power of {self.p}"
             )
@@ -172,9 +167,6 @@ class TowerGraph:
     obstructed: list[tuple[int, int]] = field(default_factory=list)
     width_growth_checks: list[WidthGrowthCheck] = field(default_factory=list)
     persistence_checks: list[CuspPersistenceCheck] = field(default_factory=list)
-
-    def level_count(self) -> int:
-        return len(self.levels)
 
     def to_json(self) -> dict:
         levels = []
@@ -350,14 +342,8 @@ def build_graph(
                     groups[k + 1].mul(up_rep[1], up_rep[2])
                 ]
                 applicable = down_mp % p == 0
-                ok = True
-                if applicable:
-                    u = 0
-                    m = down_mp
-                    while m % p == 0:
-                        m //= p
-                        u += 1
-                    ok = up_mp % (p ** (u + 1)) == 0
+                # p^(u+1) divides up_mp where p^u exactly divides down_mp
+                ok = not applicable or (up_mp // gcd(up_mp, down_mp)) % p == 0
                 graph.width_growth_checks.append(
                     WidthGrowthCheck(k, (ui, uj), dcusp, down_mp, up_mp, applicable, ok)
                 )

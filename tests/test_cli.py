@@ -258,3 +258,22 @@ def test_cap_flag_overrides_low_env_cap(capsys, monkeypatch):
     )
     assert code == 0, err
     assert "lifting invariant: -1" in out
+
+
+def test_invalid_custom_extension_is_a_typed_error(capsys):
+    report = ("report", "--group", "D(3)", "--classes", "2:4", "--prime", "3")
+    bad = {
+        # the kernel has order 2, not a power of 3
+        "R=D(6); images=(1 2 3),(2 3); kernel=(1 4)(2 5)(3 6); p=3": (
+            "NotPGroupKernel", 40
+        ),
+        # the reflections of D(9) invert the kernel
+        "R=D(9); images=(1 2 3),(2 3); kernel=(1 4 7)(2 5 8)(3 6 9); p=3": (
+            "ConfigError", 2
+        ),
+    }
+    for spec, (name, exit_code) in bad.items():
+        code, _, err = run_cli(capsys, *report, "--extension", spec)
+        assert code == exit_code
+        assert f"error[{name}:{exit_code}]" in err
+        assert "Traceback" not in err

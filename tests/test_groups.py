@@ -8,14 +8,22 @@ from nielsen_forge.errors import (
     NotPPerfect,
 )
 from nielsen_forge.groups import (
+    close_under_product,
     generate,
     hom,
     is_p_perfect,
+    is_p_power,
     quotient,
     reduce_p_center,
     subgroup_query,
 )
-from nielsen_forge.presets import alternating, dihedral, sl2_cover, v2_z3
+from nielsen_forge.presets import (
+    alternating,
+    dihedral,
+    group_from_string,
+    sl2_cover,
+    v2_z3,
+)
 
 
 def test_generate_a4_and_d9():
@@ -40,6 +48,47 @@ def test_conjugacy_classes_a4_a5():
     assert [c.size for c in fives] == [12, 12]
     z3 = generate([P.parse("(1 2 3)", 3)])
     assert [c.size for c in z3.conjugacy_classes()] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("spec", ["A(5)", "S(4)", "D(9)", "SL23", "V2xPM(3)"])
+def test_conjugacy_classes_match_brute_force(spec):
+    # each class is {h x h^-1 : h in G} on permutations, and the classes come
+    # sorted by (size, least member id), the order reports print
+    G, _ = group_from_string(spec)
+    seen: set = set()
+    expect = []
+    for x in G.elements:
+        if x not in seen:
+            cls = {P.conjugate(x, h) for h in G.elements}
+            seen |= cls
+            expect.append(sorted(G.id_of(y) for y in cls))
+    expect.sort(key=lambda ids: (len(ids), ids[0]))
+    assert [list(c.member_ids) for c in G.conjugacy_classes()] == expect
+
+
+@pytest.mark.parametrize("spec", ["A(5)", "D(25)", "V2xPM(3)"])
+def test_closures_match_permutation_closure(spec):
+    G, _ = group_from_string(spec)
+    classes = G.conjugacy_classes()
+    mins = [c.member_ids[0] for c in classes]
+    for a in mins:
+        for b in mins:
+            closed = close_under_product([G.perm(a), G.perm(b)])
+            assert G.subgroup_closure([a, b]) == {G.id_of(p) for p in closed}
+    # the normal closure of x is generated by the class of x
+    for c in classes:
+        closed = close_under_product(c.members)
+        assert G.normal_closure([c.member_ids[0]]) == {G.id_of(p) for p in closed}
+
+
+def test_is_p_power():
+    for p in (2, 3, 5):
+        other = 3 if p == 2 else 2
+        assert is_p_power(1, p)
+        assert not is_p_power(other, p)
+        for k in range(1, 6):
+            assert is_p_power(p**k, p)
+            assert not is_p_power(other * p**k, p)
 
 
 def test_class_sizes_divide_group_order():
