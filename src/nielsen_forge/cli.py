@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import RunConfig, load_config_file, parse_class_selector
+from .config import RunConfig, load_config_file, parse_class_selector, require_prime
 from .errors import ConfigError, ForgeError
 from .goldens import KNOWN_DISCREPANCIES, SUITES, run_suite
 from .lifting import is_frattini_cover, jennings_dims
@@ -37,16 +37,19 @@ PIPELINE_COMMANDS = (
 )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--group", help='group spec, e.g. "A(4)", "D(9)"')
-    sub.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
-    sub.add_argument("--prime", type=int, help="the prime p")
-    sub.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
-    sub.add_argument("--r3", action="store_true", help="H3 orbit mode for r = 3")
-    sub.add_argument("--format", dest="fmt", help="md, json, or csv")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--cap", type=int, help="group-order closure cap")
+def _common_options() -> argparse.ArgumentParser:
+    """The options shared by the pipeline commands and tower, as a parent."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value config file")
+    common.add_argument("--group", help='group spec, e.g. "A(4)", "D(9)"')
+    common.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
+    common.add_argument("--prime", type=int, help="the prime p")
+    common.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
+    common.add_argument("--r3", action="store_true", help="H3 orbit mode for r = 3")
+    common.add_argument("--format", dest="fmt", help="md, json, or csv")
+    common.add_argument("--out", help="write the report here instead of stdout")
+    common.add_argument("--cap", type=int, help="group-order closure cap")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "genera, lifting invariants, towers.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
     for name, help_text in (
         ("report", "full pipeline report"),
         ("orbits", "braid orbits only"),
@@ -66,9 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("lift", "lifting invariants per component"),
         ("screen", "congruence screen verdicts"),
     ):
-        _add_common(subs.add_parser(name, help=help_text))
-    tower = subs.add_parser("tower", help="level-to-level tower graph")
-    _add_common(tower)
+        subs.add_parser(name, help=help_text, parents=common)
+    tower = subs.add_parser("tower", help="level-to-level tower graph", parents=common)
     tower.add_argument("--chain", help='base-first chain, e.g. "D(3),D(9),D(27)"')
     tower.add_argument("--dot", help="write DOT output here")
     frattini = subs.add_parser("frattini", help="Frattini-cover check")
@@ -92,7 +95,10 @@ def _load_config(args) -> RunConfig:
         if getattr(args, "config", None)
         else RunConfig()
     )
-    return cfg.merged_with_args(args)
+    cfg = cfg.merged_with_args(args)
+    if cfg.prime:
+        cfg.prime = require_prime(cfg.prime, "--prime")
+    return cfg
 
 
 def _emit(text: str, out: str) -> None:
@@ -221,11 +227,14 @@ def _cmd_frattini(args) -> int:
         raise ConfigError("missing --cover")
     text, cap = cfg.cover.strip(), cfg.cap or None
     if text.startswith("split:"):
-        _, group_spec, p_text = text.split(":")
-        group, _ = group_from_string(group_spec, cap)
-        proj = direct_product_with_cyclic(group, int(p_text), cap)
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"expected split:GROUP:p, got {text!r}")
+        p = require_prime(parts[2], "the p of split:GROUP:p")
+        group, _ = group_from_string(parts[1], cap)
+        proj = direct_product_with_cyclic(group, p, cap)
         verdict = is_frattini_cover(proj)
-        label = f"{group.name} x Z/{p_text} -> {group.name}"
+        label = f"{group.name} x Z/{parts[2]} -> {group.name}"
     else:
         ext = extension_from_string(text, cap=cap)
         verdict = is_frattini_cover(ext.proj)
@@ -235,7 +244,9 @@ def _cmd_frattini(args) -> int:
 
 
 def _cmd_jennings(args) -> int:
-    prof = jennings_dims(args.prime, args.n)
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    prof = jennings_dims(require_prime(args.prime, "--p"), args.n)
     print(
         f"Loewy dims for (Z/{prof.p})^{prof.n}: {list(prof.dims)} "
         f"(sum {prof.total}, palindromic {prof.is_palindromic})"

@@ -10,12 +10,28 @@ are accepted in place of the order.  Example: "3+:2,3-:2" or "2:4" or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 
 from . import perm as P
 from .errors import ConfigError
 from .groups import ConjClass, FiniteGroup
 from .nielsen import ClassMultiset
+
+
+def require_prime(value, what: str) -> int:
+    """value as an int, or ConfigError unless it is a prime.
+
+    Every prime read from the command line, a config file or a spec string
+    passes through here.
+    """
+    try:
+        p = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a prime, got {value!r}") from exc
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ConfigError(f"{what} must be a prime, got {p}")
+    return p
 
 
 def parse_class_selector(group: FiniteGroup, text: str) -> ClassMultiset:

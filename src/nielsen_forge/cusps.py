@@ -24,7 +24,7 @@ from .errors import (
     NonIntegralGenus,
     RankNotFour,
 )
-from .groups import generate, orbit_of
+from .groups import close_under_product, orbit_of
 from .lifting import (
     CentralExtension,
     LiftInvariant,
@@ -365,12 +365,15 @@ class ScreenResult:
 
 
 def monodromy_order(orbit: BraidOrbit, cap: int) -> int | None:
-    """Order of <gamma_0, gamma_1, gamma_inf>, or None once past the cap."""
+    """Order of <gamma_0, gamma_1, gamma_inf>, or None once past the cap.
+
+    gamma_0 = (gamma_1 gamma_inf)^-1, so the closure of <gamma_1, gamma_inf>
+    is the same group; only its size is needed.
+    """
     try:
-        grp = generate([orbit.gamma_0, orbit.gamma_1, orbit.gamma_inf], cap=cap)
+        return len(close_under_product([orbit.gamma_1, orbit.gamma_inf], cap))
     except ClosureExceedsCap:
         return None
-    return grp.order
 
 
 def congruence_screen(

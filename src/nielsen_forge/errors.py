@@ -41,6 +41,12 @@ class ClassNotPreserved(ForgeError):
     code = 16
 
 
+class PCenterNotReduced(ForgeError):
+    """reduce_p_center passed its step bound; never expected."""
+
+    code = 17
+
+
 class RankNotFour(ForgeError):
     code = 20
 

@@ -15,7 +15,13 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import perm as P
-from .errors import ClosureExceedsCap, NotAHomomorphism, NotNormal, NotPPerfect
+from .errors import (
+    ClosureExceedsCap,
+    NotAHomomorphism,
+    NotNormal,
+    NotPPerfect,
+    PCenterNotReduced,
+)
 from .perm import Perm
 
 DEFAULT_CAP = 200_000
@@ -31,7 +37,7 @@ def closure_cap() -> int:
 
 def close_under_product(
     gens: Sequence[Perm], cap: int | None = None, *, context: str = "generate"
-) -> list[Perm]:
+) -> set[Perm]:
     """BFS closure of the generators; raises once the cap is exceeded."""
     if not gens:
         raise ValueError("need at least one generator")
@@ -54,11 +60,13 @@ def close_under_product(
                             f"{context}: closure exceeds cap {limit}"
                         )
         frontier = new
-    return sorted(seen)
+    return seen
 
 
 def is_p_power(n: int, p: int) -> bool:
     """True iff n = p^k for some k >= 0."""
+    if p < 2:
+        raise ValueError(f"is_p_power needs p >= 2, got {p}")
     while n > 1 and n % p == 0:
         n //= p
     return n == 1
@@ -311,7 +319,7 @@ class ConjClass:
 
 def generate(gens: Sequence[Perm], cap: int | None = None, name: str = "") -> FiniteGroup:
     """Enumerate the closure of the generators into a FiniteGroup."""
-    elements = close_under_product(gens, cap)
+    elements = sorted(close_under_product(gens, cap))
     return FiniteGroup(gens, elements, name=name)
 
 
@@ -540,5 +548,5 @@ def reduce_p_center(
         chain.append((quot, proj))
         current = quot
         if len(chain) > 64:
-            raise RuntimeError("p-center reduction failed to terminate")
+            raise PCenterNotReduced("p-center reduction failed to terminate")
     return chain

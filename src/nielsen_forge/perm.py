@@ -10,6 +10,7 @@ notation is 1-based on input/output, with "()" for the identity.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ConventionBroken
@@ -29,7 +30,10 @@ def compose(p: Perm, q: Perm) -> Perm:
     """Product p*q mapping x to q[p[x]] (p acts first)."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[x] for x in p)
+    if len(p) < 2:
+        # itemgetter with a single index returns a scalar, not a tuple
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def compose_all(perms: Iterable[Perm], degree: int) -> Perm:
@@ -89,7 +93,16 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def index(p: Perm) -> int:
     """ind(p) = degree - number of cycles (Riemann-Hurwitz contribution)."""
-    return len(p) - len(cycles(p))
+    seen = [False] * len(p)
+    count = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+    return len(p) - count
 
 
 def sign(p: Perm) -> int:

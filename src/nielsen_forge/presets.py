@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import perm as P
+from .config import require_prime
 from .errors import ConfigError, PresetOrderMismatch
 from .groups import FiniteGroup, GroupHom, generate, hom, orbit_of
 from .lifting import CentralExtension
@@ -149,8 +150,7 @@ def _regular_perms(elements: list, mul) -> dict:
 
 def heisenberg(p: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExtension]:
     """H_{Z/p,3} by right-regular action, with its central Z/p quotient map."""
-    if p < 2:
-        raise ConfigError("Heis needs a prime p >= 2")
+    require_prime(p, "Heis(p)")
     els = sorted(itertools.product(range(p), repeat=3))
 
     def mul(u, v):
@@ -349,6 +349,7 @@ def extension_from_string(
         missing = {"R", "images", "kernel", "p"} - set(fields)
         if missing:
             raise ConfigError(f"extension spec missing {sorted(missing)}")
+        p = require_prime(fields["p"], "the extension's p")
         R, _ = make_group(parse_group_spec(fields["R"]), cap)
         images = [
             P.parse(s.strip(), target.degree)
@@ -356,7 +357,7 @@ def extension_from_string(
         ]
         proj = hom(R, target, images)
         kernel_gen = P.parse(fields["kernel"], R.degree)
-        return CentralExtension(R, target, proj, kernel_gen, int(fields["p"]))
+        return CentralExtension(R, target, proj, kernel_gen, p)
     spec = parse_group_spec(body)
     if spec.kind == "SL23":
         return sl2_cover(3, cap)[1]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nielsen_forge.cli import main
 
 
@@ -277,3 +279,59 @@ def test_invalid_custom_extension_is_a_typed_error(capsys):
         assert code == exit_code
         assert f"error[{name}:{exit_code}]" in err
         assert "Traceback" not in err
+
+
+def _cli_subprocess(*argv):
+    # a subprocess with a timeout, so that a validation regression that
+    # lets a bad prime through fails the test instead of hanging it
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-m", "nielsen_forge.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tower", "--chain", "D(3),D(9)", "--classes", "2:4", "--prime", "1"),
+        ("report", "--group", "D(9)", "--classes", "2:4", "--prime", "1"),
+        ("report", "--group", "D(9)", "--classes", "2:4", "--prime", "4"),
+    ],
+)
+def test_non_prime_prime_is_a_config_error(argv):
+    out = _cli_subprocess(*argv)
+    assert out.returncode == 2
+    assert "error[ConfigError:2]" in out.stderr
+    assert "must be a prime" in out.stderr
+    assert out.stdout == ""
+
+
+def test_every_prime_the_cli_reads_is_checked(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('group = "D(9)"\nclasses = 2:4\nprime = 6\n')
+    custom = "R=D(9); images=(1 2 3),(2 3); kernel=(1 4 7)(2 5 8)(3 6 9); p=9"
+    cases = [
+        ("jennings", "--p", "4", "--n", "2"),
+        ("jennings", "--p", "1", "--n", "2"),
+        ("jennings", "--p", "3", "--n", "0"),
+        ("frattini", "--cover", "split:A(4):4"),
+        ("frattini", "--cover", "split:A(4)"),
+        ("frattini", "--cover", "Heis(4)"),
+        ("report", "--config", str(cfg)),
+        ("report", "--group", "D(3)", "--classes", "2:4", "--prime", "3",
+         "--extension", custom),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "error[ConfigError:2]" in err, argv
+        assert out == ""

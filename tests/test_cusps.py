@@ -14,6 +14,7 @@ from nielsen_forge.cusps import (
     matrices_match_up_to_relabeling,
     middle_twist_orbit,
     modular_curve_table,
+    monodromy_order,
     sh_incidence,
 )
 from nielsen_forge.nielsen import ClassMultiset, enumerate_nielsen, nielsen_inner_classes
@@ -280,3 +281,53 @@ def test_sh_incidence_matches_frozenset_definition(spec, classes, use_gamma_0):
         assert m.matrix == _sh_incidence_by_definition(orbit, use_gamma_0)
         # sh is an involution, so the pairing is symmetric
         assert m.is_symmetric
+
+
+_MONODROMY_CASES = [
+    ("D(9)", "2:4"),
+    ("D(15)", "2:4"),
+    ("V2xPM(5)", "2:4"),
+    ("A(4)", "3+:2,3-:2"),
+]
+
+
+def _components(spec, classes):
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.presets import group_from_string
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    return braid_orbits(reduced_classes(nielsen_inner_classes(G, C)))
+
+
+@pytest.mark.parametrize("spec,classes", _MONODROMY_CASES)
+def test_monodromy_order_matches_three_generator_group(spec, classes):
+    from nielsen_forge.groups import generate
+
+    for o in _components(spec, classes):
+        order = generate([o.gamma_0, o.gamma_1, o.gamma_inf]).order
+        assert monodromy_order(o, order) == order
+        assert monodromy_order(o, 10 * order) == order
+        # None exactly when the order passes the cap
+        assert monodromy_order(o, order - 1) is None
+
+
+def test_monodromy_order_composition_budget(monkeypatch):
+    # the D(15) component has degree 96 and monodromy order 1440; counting
+    # the closure of two generators costs one product per element and
+    # generator
+    import nielsen_forge.perm as perm_module
+
+    (orbit,) = _components("D(15)", "2:4")
+    assert orbit.size == 96
+    calls = 0
+    compose = perm_module.compose
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(perm_module, "compose", counting)
+    assert monodromy_order(orbit, 2880) == 1440
+    assert 0 < calls <= 2 * 1440

@@ -6,6 +6,7 @@ from nielsen_forge.errors import (
     NotAHomomorphism,
     NotNormal,
     NotPPerfect,
+    PCenterNotReduced,
 )
 from nielsen_forge.groups import (
     close_under_product,
@@ -89,6 +90,10 @@ def test_is_p_power():
         for k in range(1, 6):
             assert is_p_power(p**k, p)
             assert not is_p_power(other * p**k, p)
+    # p = 1 or 0 would never shrink n; it is refused, not looped on
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            is_p_power(4, p)
 
 
 def test_class_sizes_divide_group_order():
@@ -173,6 +178,18 @@ def test_reduce_p_center():
     assert kernel_order == 2  # a 2-group kernel
     v43 = v2_z3(4)  # (Z/4)^2 x| Z/3 has trivial center already
     assert reduce_p_center(v43, 2) == []
+
+
+def test_reduce_p_center_guard_is_a_typed_error(monkeypatch):
+    # a quotient that returns its input never shrinks the p-center, so the
+    # step bound must end the loop with a stable exit code
+    import nielsen_forge.groups as groups
+
+    monkeypatch.setattr(groups, "quotient", lambda G, N: (G, None))
+    R, _ = sl2_cover(3)
+    with pytest.raises(PCenterNotReduced) as info:
+        reduce_p_center(R, 2)
+    assert info.value.code == 17
     z9 = generate([P.parse("(1 2 3 4 5 6 7 8 9)", 9)])
     with pytest.raises(NotPPerfect):
         reduce_p_center(z9, 3)

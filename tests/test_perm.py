@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nielsen_forge import perm as P
 
@@ -77,3 +81,37 @@ def test_convention_self_check_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(P, "compose", lambda p, q: tuple(p[x] for x in q))
     with pytest.raises(ConventionBroken):
         P._convention_self_test()
+
+
+perm_pairs = st.integers(1, 130).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)).map(tuple), st.permutations(range(n)).map(tuple)
+    )
+)
+
+
+@given(perm_pairs)
+def test_compose_matches_reference(pair):
+    p, q = pair
+    assert P.compose(p, q) == tuple(q[x] for x in p)
+    assert type(P.compose(p, q)) is tuple
+
+
+def test_compose_rejects_degree_mismatch():
+    for p, q in (((0,), (0, 1)), ((1, 0), (0,)), ((), (0,)), ((0, 1, 2), (1, 0))):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            P.compose(p, q)
+    assert P.compose((), ()) == ()
+    assert P.compose((0,), (0,)) == (0,)
+
+
+def test_index_counts_cycles():
+    rng = random.Random(7)
+    for n in [1, 2, 3, 5, 8, 64, 200, 1000]:
+        for _ in range(5):
+            p = list(range(n))
+            rng.shuffle(p)
+            p = tuple(p)
+            assert P.index(p) == n - len(P.cycles(p))
+    assert P.index(P.identity(7)) == 0
+    assert P.index(P.parse("(1 2 3 4 5 6 7)")) == 6
