@@ -35,14 +35,12 @@ from .groups import (
     ConjClass,
     FiniteGroup,
     GroupHom,
-    SubgroupView,
     conjugacy_classes,
     generate,
     hom,
     is_p_perfect,
     quotient,
     reduce_p_center,
-    subgroup_query,
 )
 from .lifting import (
     CentralExtension,

@@ -127,13 +127,9 @@ def _pipeline(cfg: RunConfig):
             )
         group = extension.G
     C = parse_class_selector(group, cfg.classes)
-    return run_pipeline(
-        group,
-        C,
-        cfg.prime,
-        extension,
-        r3=cfg.r3 or C.r == 3,
-    )
+    if cfg.r3 and C.r != 3:
+        raise ConfigError(f"--r3 needs r = 3 classes, got r = {C.r}")
+    return run_pipeline(group, C, cfg.prime, extension)
 
 
 def _focused_markdown(command: str, result) -> str:

@@ -377,10 +377,7 @@ def monodromy_order(orbit: BraidOrbit, cap: int) -> int | None:
 
 
 def congruence_screen(
-    orbit: BraidOrbit,
-    lift: LiftInvariant | None = None,
-    *,
-    monodromy_max_degree: int = MONODROMY_MAX_DEGREE,
+    orbit: BraidOrbit, lift: LiftInvariant | None = None
 ) -> ScreenResult:
     """Necessary-condition screen against the tabled X/X0/X1 cusp data.
 
@@ -420,7 +417,7 @@ def congruence_screen(
         )
     order = None
     checked = False
-    if orbit.size <= monodromy_max_degree:
+    if orbit.size <= MONODROMY_MAX_DEGREE:
         checked = True
         cap = 2 * max(e.monodromy_order for e in candidates)
         order = monodromy_order(orbit, cap)
@@ -455,7 +452,7 @@ def congruence_screen(
         "degree, widths and monodromy order all match"
         if checked
         else "degree and widths match (monodromy check skipped: degree above "
-        f"{monodromy_max_degree})"
+        f"{MONODROMY_MAX_DEGREE})"
     )
     return ScreenResult(
         level,
@@ -485,7 +482,7 @@ class ComponentDossier:
     cusps: tuple[CuspSummary, ...]
     sh_matrix: ShIncidence
     lift: LiftInvariant | None
-    screen: ScreenResult | None
+    screen: ScreenResult
 
     @property
     def widths(self) -> list[int]:
@@ -501,9 +498,6 @@ def component_dossier(
     orbit_number: int,
     p: int,
     extension: CentralExtension | None = None,
-    *,
-    screen: bool = True,
-    monodromy_max_degree: int = MONODROMY_MAX_DEGREE,
 ) -> ComponentDossier:
     gdata = genus(orbit)
     shinc = sh_incidence(orbit, orbit_number)
@@ -517,13 +511,9 @@ def component_dossier(
     if extension is not None:
         rep = orbit.classes[0].tuple
         lift = _orbit_lifting_invariant(extension, rep)
-    result = (
-        congruence_screen(orbit, lift, monodromy_max_degree=monodromy_max_degree)
-        if screen
-        else None
-    )
+    screen = congruence_screen(orbit, lift)
     return ComponentDossier(
-        orbit, orbit_number, orbit.size, gdata, tuple(cusps), shinc, lift, result
+        orbit, orbit_number, orbit.size, gdata, tuple(cusps), shinc, lift, screen
     )
 
 

@@ -13,6 +13,10 @@ class ConfigError(ForgeError):
     code = 2
 
 
+class BadPermutation(ConfigError, ValueError):
+    """Cycle notation that names no permutation; a ValueError to direct callers."""
+
+
 class ClosureExceedsCap(ForgeError):
     code = 10
 

@@ -3,8 +3,9 @@
 Groups at desk scale (a few hundred elements for the orbit pipelines, up to
 the closure cap for membership-style queries) are kept as the full sorted
 element list; element IDs are positions in that list, so orbit and
-canonical-form code works on small integers via a cached multiplication
-table instead of image tuples.
+canonical-form code works on small integers.  Up to MUL_TABLE_MAX (4096)
+elements, products are read from a multiplication table built on first
+use; larger groups have no table and compose image tuples on every product.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import perm as P
@@ -35,9 +37,7 @@ def closure_cap() -> int:
     return int(env) if env else DEFAULT_CAP
 
 
-def close_under_product(
-    gens: Sequence[Perm], cap: int | None = None, *, context: str = "generate"
-) -> set[Perm]:
+def close_under_product(gens: Sequence[Perm], cap: int | None = None) -> set[Perm]:
     """BFS closure of the generators; raises once the cap is exceeded."""
     if not gens:
         raise ValueError("need at least one generator")
@@ -57,7 +57,7 @@ def close_under_product(
                     new.append(y)
                     if len(seen) > limit:
                         raise ClosureExceedsCap(
-                            f"{context}: closure exceeds cap {limit}"
+                            f"generate: closure exceeds cap {limit}"
                         )
         frontier = new
     return seen
@@ -120,7 +120,7 @@ class FiniteGroup:
         self.generator_ids = tuple(self._index[g] for g in self.generators)
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
-        self._mul: list[list[int]] | None = None
+        self._mul: list[tuple[int, ...]] | None = None
         self._mul_attempted = False
         self._classes: list[ConjClass] | None = None
 
@@ -140,32 +140,28 @@ class FiniteGroup:
     # -- multiplication -------------------------------------------------
 
     def _build_mul_table(self) -> None:
-        n = self.order
+        # Rows as tuples, from left multiplication: row(g*c) = L_g o row(c)
+        # with L_g[x] the id of g * x, filled in BFS order from the identity
+        # row, so each new row is one itemgetter over a row built before it.
+        # A one-element group derives no row, so no itemgetter gets a single
+        # index (which would return a scalar).
         idx = self._index
         els = self.elements
-        # Column for each generator: col[a] = id of els[a] * gen.
-        cols = {
-            gid: [idx[P.compose(x, els[gid])] for x in els]
+        lefts = [
+            [idx[P.compose(els[gid], x)] for x in els]
             for gid in set(self.generator_ids)
-        }
-        table = [[-1] * n for _ in range(n)]
+        ]
         e = self.identity_id
-        for a in range(n):
-            table[a][e] = a
-        # Right-multiplication words in BFS order: each column b is filled
-        # from the column c it was first reached from, which comes before b.
-        parent: dict[int, tuple[int, list[int]]] = {}
-
-        def moves(c):
-            for col in cols.values():
-                parent.setdefault(col[c], (c, col))
-                yield col[c]
-
-        for b in _grow([e], {e}, moves, None, None)[1:]:
-            c, col = parent[b]
-            for a in range(n):
-                table[a][b] = col[table[a][c]]
-        self._mul = table
+        rows: list[tuple[int, ...] | None] = [None] * self.order
+        rows[e] = tuple(range(self.order))
+        reached = [e]
+        for c in reached:
+            for left in lefts:
+                gc = left[c]
+                if rows[gc] is None:
+                    rows[gc] = itemgetter(*rows[c])(left)
+                    reached.append(gc)
+        self._mul = rows
         self.inv  # conj reads _inv whenever the table exists
 
     def mul(self, a: int, b: int) -> int:
@@ -334,42 +330,6 @@ def is_p_perfect(G: FiniteGroup, p: int) -> bool:
     return ab_order % p != 0
 
 
-class SubgroupView:
-    """Closure of a subset of G with the predicates the pipelines need."""
-
-    def __init__(self, group: FiniteGroup, ids: frozenset[int]):
-        self.group = group
-        self.ids = ids
-        self.order = len(ids)
-
-    def is_p_group(self, p: int) -> bool:
-        return is_p_power(self.order, p)
-
-    def is_p_prime(self, p: int) -> bool:
-        return self.order % p != 0
-
-    @property
-    def center(self) -> list[Perm]:
-        g = self.group
-        ids = sorted(self.ids)
-        out = [x for x in ids if all(g.mul(x, y) == g.mul(y, x) for y in ids)]
-        return [g.perm(x) for x in out]
-
-    def centralizer_of(self, element: Perm) -> "SubgroupView":
-        g = self.group
-        e = g.id_of(element)
-        ids = frozenset(x for x in self.ids if g.mul(x, e) == g.mul(e, x))
-        return SubgroupView(g, ids)
-
-    @property
-    def elements(self) -> list[Perm]:
-        return [self.group.perm(i) for i in sorted(self.ids)]
-
-
-def subgroup_query(G: FiniteGroup, elems: Sequence[Perm]) -> SubgroupView:
-    return SubgroupView(G, G.subgroup_closure(G.id_of(p) for p in elems))
-
-
 class GroupHom:
     """Homomorphism given on generators, extended and verified on the table."""
 
@@ -447,17 +407,8 @@ class GroupHom:
     def is_injective(self) -> bool:
         return len(self.kernel_ids) == 1
 
-    def apply(self, p: Perm) -> Perm:
-        return self.target.perm(self.full_map[self.source.id_of(p)])
-
     def apply_id(self, x: int) -> int:
         return self.full_map[x]
-
-    def then(self, other: "GroupHom") -> "GroupHom":
-        if other.source is not self.target:
-            raise NotAHomomorphism("composition endpoints disagree")
-        images = [other.apply(self.apply(g)) for g in self.source.generators]
-        return GroupHom(self.source, other.target, images, verify=False)
 
 
 def hom(

@@ -72,9 +72,6 @@ class CentralExtension:
     def kernel_exponent(self, rid: int) -> int:
         return self._exponent[rid]
 
-    def fiber_ids(self, gid: int) -> list[int]:
-        return self._fibers[gid]
-
     def p_prime_lift_id(self, gid: int) -> int:
         """ID of the unique preimage with order prime to p."""
         G, R = self.G, self.R

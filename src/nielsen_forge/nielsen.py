@@ -157,10 +157,6 @@ class InnerClass:
     canonical: tuple[int, ...]
     orbit_size: int
 
-    @property
-    def tuple(self) -> NielsenTuple:
-        return NielsenTuple(self.group, self.canonical)
-
 
 def _patterns(C: ClassMultiset) -> list[tuple[ConjClass, ...]]:
     """Distinct orderings of the class multiset."""

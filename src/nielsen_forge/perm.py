@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import ConventionBroken
+from .errors import BadPermutation, ConventionBroken
 
 Perm = tuple[int, ...]
 
@@ -34,13 +34,6 @@ def compose(p: Perm, q: Perm) -> Perm:
         # itemgetter with a single index returns a scalar, not a tuple
         return tuple(q[x] for x in p)
     return itemgetter(*p)(q)
-
-
-def compose_all(perms: Iterable[Perm], degree: int) -> Perm:
-    out = identity(degree)
-    for p in perms:
-        out = compose(out, p)
-    return out
 
 
 def inverse(p: Perm) -> Perm:
@@ -86,11 +79,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
 def index(p: Perm) -> int:
     """ind(p) = degree - number of cycles (Riemann-Hurwitz contribution)."""
     seen = [False] * len(p)
@@ -105,22 +93,18 @@ def index(p: Perm) -> int:
     return len(p) - count
 
 
-def sign(p: Perm) -> int:
-    return -1 if index(p) % 2 else 1
-
-
 def from_cycles(cyc: Sequence[Sequence[int]], degree: int) -> Perm:
     """Build a permutation from 0-based cycles."""
     images = list(range(degree))
     for c in cyc:
         for a in c:
             if not 0 <= a < degree:
-                raise ValueError(f"point {a} out of range for degree {degree}")
+                raise BadPermutation(f"point {a} out of range for degree {degree}")
         for i, a in enumerate(c):
             images[a] = c[(i + 1) % len(c)]
     p = tuple(images)
     if sorted(p) != list(range(degree)):
-        raise ValueError(f"cycles overlap: {cyc}")
+        raise BadPermutation(f"cycles overlap: {cyc}")
     return p
 
 
@@ -135,25 +119,28 @@ def parse(text: str, degree: int | None = None) -> Perm:
     """
     stripped = text.strip()
     if not stripped:
-        raise ValueError("empty permutation string")
+        raise BadPermutation("empty permutation string")
     body = stripped.replace(",", " ")
     consumed = _CYCLE_RE.sub("", body).strip()
     if consumed:
-        raise ValueError(f"unparsed text {consumed!r} in permutation {text!r}")
+        raise BadPermutation(f"unparsed text {consumed!r} in permutation {text!r}")
     cycs = []
     max_pt = 0
     for grp in _CYCLE_RE.findall(body):
-        pts = [int(tok) for tok in grp.split()]
+        try:
+            pts = [int(tok) for tok in grp.split()]
+        except ValueError as exc:
+            raise BadPermutation(f"non-integer point in {text!r}") from exc
         if not pts:
             continue
         if any(pt < 1 for pt in pts):
-            raise ValueError(f"points are 1-based in {text!r}")
+            raise BadPermutation(f"points are 1-based in {text!r}")
         max_pt = max(max_pt, *pts)
         cycs.append([pt - 1 for pt in pts])
     if degree is None:
         degree = max_pt
     elif max_pt > degree:
-        raise ValueError(f"point {max_pt} exceeds degree {degree} in {text!r}")
+        raise BadPermutation(f"point {max_pt} exceeds degree {degree} in {text!r}")
     return from_cycles(cycs, degree)
 
 

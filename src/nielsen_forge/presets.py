@@ -30,13 +30,6 @@ class GroupSpec:
     param: int = 0
     custom_gens: tuple[str, ...] = ()
 
-    def label(self) -> str:
-        if self.kind == "custom":
-            return "custom[" + ",".join(self.custom_gens) + "]"
-        if self.kind in ("SL23", "SL25"):
-            return self.kind
-        return f"{self.kind}({self.param})"
-
 
 _SPEC_RE = re.compile(r"^([A-Za-z0-9]+)\((\d+)\)$")
 
@@ -142,10 +135,10 @@ def elementary_squared(p: int) -> FiniteGroup:
     )
 
 
-def _regular_perms(elements: list, mul) -> dict:
-    """Right-regular action: each element g becomes x -> x*g on sorted elements."""
+def _regular_perms(elements: list, mul, gens: list) -> list[Perm]:
+    """Right-regular action of each g in gens: x -> x*g on sorted elements."""
     index = {x: i for i, x in enumerate(elements)}
-    return {g: tuple(index[mul(x, g)] for x in elements) for g in elements}
+    return [tuple(index[mul(x, g)] for x in elements) for g in gens]
 
 
 def heisenberg(p: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExtension]:
@@ -158,8 +151,7 @@ def heisenberg(p: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExte
         x2, y2, z2 = v
         return ((x1 + x2) % p, (y1 + y2) % p, (z1 + z2 + x1 * y2) % p)
 
-    reg = _regular_perms(els, mul)
-    x_gen, y_gen, z_gen = reg[(1, 0, 0)], reg[(0, 1, 0)], reg[(0, 0, 1)]
+    x_gen, y_gen, z_gen = _regular_perms(els, mul, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     R = generate([x_gen, y_gen], cap, name=f"Heis({p})")
     if R.order != p**3:
         raise PresetOrderMismatch("Heisenberg closure has wrong order")
@@ -192,16 +184,16 @@ def sl2_cover(q: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExten
         e, f, g, h = m2
         return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
 
-    reg = _regular_perms(els, mul)
-    s_mat, t_mat = (0, q - 1, 1, 0), (1, 1, 0, 1)
-    R = generate([reg[s_mat], reg[t_mat]], cap, name=f"SL(2,{q})")
+    s_gen, t_gen, minus_i = _regular_perms(
+        els, mul, [(0, q - 1, 1, 0), (1, 1, 0, 1), (q - 1, 0, 0, q - 1)]
+    )
+    R = generate([s_gen, t_gen], cap, name=f"SL(2,{q})")
     if R.order != q * (q * q - 1):
         raise PresetOrderMismatch("SL(2,q) closure has wrong order")
     n = 4 if q == 3 else 5
     A = alternating(n, cap)
     s_img, t_img = (P.parse(txt, n) for txt in _SL2_IMAGE_TABLE[q])
     proj = hom(R, A, [s_img, t_img])
-    minus_i = reg[((q - 1), 0, 0, (q - 1))]
     ext = CentralExtension(R, A, proj, kernel_gen=minus_i, p=2)
     return R, ext
 
@@ -242,11 +234,6 @@ def group_from_string(
 def dihedral_chain(p: int, k_max: int) -> tuple[list[FiniteGroup], list[GroupHom]]:
     """Shared-instance chain D_{p^{k+1}} -> D_{p^k} for k = 0..k_max-1."""
     return _family_chain([GroupSpec("D", p ** (k + 1)) for k in range(k_max + 1)])
-
-
-def v2_pm_chain(p: int, u_max: int) -> tuple[list[FiniteGroup], list[GroupHom]]:
-    """Shared-instance chain (Z/p^{u+1})^2 x| pm down to (Z/p)^2 x| pm."""
-    return _family_chain([GroupSpec("V2xPM", p ** (u + 1)) for u in range(u_max + 1)])
 
 
 def _unit_generators(m: int) -> list[int]:

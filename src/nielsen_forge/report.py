@@ -114,12 +114,11 @@ def render_markdown(result: PipelineResult) -> str:
         ]
         if d.lift is not None:
             lines.append(f"- lifting invariant: {d.lift}")
-        if d.screen is not None:
-            s = d.screen
-            match = f" [{', '.join(s.matches)}]" if s.matches else ""
-            lines.append(
-                f"- congruence screen (N = {s.level}): {s.verdict}{match} -- {s.reason}"
-            )
+        s = d.screen
+        match = f" [{', '.join(s.matches)}]" if s.matches else ""
+        lines.append(
+            f"- congruence screen (N = {s.level}): {s.verdict}{match} -- {s.reason}"
+        )
         lines += ["", "| cusp | width | type |", "|---|---|---|"]
         for c in d.cusps:
             lines.append(f"| {c.label} | {c.width} | {c.ctype.label()} |")
@@ -208,9 +207,7 @@ def render_json(result: PipelineResult) -> str:
                     "labels": list(d.sh_matrix.labels),
                     "matrix": [list(r) for r in d.sh_matrix.matrix],
                 },
-                "screen": None
-                if d.screen is None
-                else {
+                "screen": {
                     "level": d.screen.level,
                     "verdict": d.screen.verdict,
                     "matches": list(d.screen.matches),

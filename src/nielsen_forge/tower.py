@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .braid import (
     BraidOrbit,
-    CuspOrbit,
     braid_orbits,
     cusp_of,
     cusp_orbits,
@@ -151,7 +150,6 @@ class TowerLevel:
     classes: ClassMultiset
     orbits: list[BraidOrbit]
     dossiers: list[ComponentDossier]
-    cusps: list[tuple[CuspOrbit, ...]]
 
 
 @dataclass
@@ -270,8 +268,7 @@ def _level_data(
     dossiers = [
         component_dossier(orb, i + 1, p, extension) for i, orb in enumerate(orbits)
     ]
-    cusps = [cusp_orbits(o) for o in orbits]
-    return TowerLevel(group, C, orbits, dossiers, cusps)
+    return TowerLevel(group, C, orbits, dossiers)
 
 
 def build_graph(
@@ -328,7 +325,7 @@ def build_graph(
             di, _ = down_at[project_reduced(lm, uorb.members[0])]
             graph.component_edges.append((k, ui, di))
             covered_components.add(di)
-            for uj, ucusp in enumerate(up.cusps[ui]):
+            for uj, ucusp in enumerate(cusp_orbits(uorb)):
                 up_rep = ucusp.member_canonicals[0]
                 down_rep = project_reduced(lm, up_rep)
                 i, j = down_at[down_rep]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -279,6 +280,28 @@ def test_invalid_custom_extension_is_a_typed_error(capsys):
         assert code == exit_code
         assert f"error[{name}:{exit_code}]" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "A(4)", "--classes", "(1 9):4", "--prime", "2"),
+        ("--group", "A(4)", "--classes", "(1 2 x):4", "--prime", "2"),
+        ("--group", "custom[(1 2)(2 3)]", "--classes", "2:3", "--prime", "2"),
+        (
+            "--group", "D(3)", "--classes", "2:4", "--prime", "3", "--extension",
+            "R=D(6); images=(1 2 3),(2 9); kernel=(1 4)(2 5)(3 6); p=3",
+        ),
+        ("--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "2", "--r3"),
+    ],
+    ids=["point-past-degree", "non-integer-point", "overlapping-cycles",
+         "bad-extension-image", "r3-with-r4"],
+)
+def test_bad_input_is_a_config_error(capsys, argv):
+    code, _, err = run_cli(capsys, "report", *argv)
+    assert code == 2
+    assert re.match(r"error\[(ConfigError|BadPermutation):2\]", err)
+    assert "Traceback" not in err
 
 
 def _cli_subprocess(*argv):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from nielsen_forge import perm as P
@@ -131,7 +133,7 @@ def test_cover_genus_regular_a5():
     g1 = P.parse("(5 4 3 2 1)", 5)
     g2 = P.parse("(2 4 3 5 1)", 5)
     g3 = P.parse("(4 3 5)", 5)
-    assert P.compose_all([g1, g2, g3], 5) == P.identity(5)
+    assert reduce(P.compose, [g1, g2, g3]) == P.identity(5)
     assert cover_genus(60, [reg(g1), reg(g2), reg(g3)]) == 9
 
 

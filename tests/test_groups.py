@@ -16,7 +16,6 @@ from nielsen_forge.groups import (
     is_p_power,
     quotient,
     reduce_p_center,
-    subgroup_query,
 )
 from nielsen_forge.presets import (
     alternating,
@@ -112,15 +111,19 @@ def test_is_p_perfect():
 
 def test_subgroup_query():
     A4 = alternating(4)
-    full = subgroup_query(A4, [P.parse("(1 2 3)", 4), P.parse("(1 3 4)", 4)])
-    assert full.order == 12
-    assert not full.is_p_prime(2)
-    v = subgroup_query(A4, [P.parse("(1 2)(3 4)", 4)])
-    assert v.order == 2 and v.is_p_group(2)
-    center = subgroup_query(A4, list(A4.generators)).center
-    assert center == [P.identity(4)]
-    cent = full.centralizer_of(P.parse("(1 2 3)", 4))
-    assert cent.order == 3  # <(1 2 3)> centralizes itself in A4
+
+    def closure(*texts):
+        return A4.subgroup_closure(A4.id_of(P.parse(t, 4)) for t in texts)
+
+    full = closure("(1 2 3)", "(1 3 4)")
+    assert len(full) == 12 and len(full) % 2 == 0
+    v = closure("(1 2)(3 4)")
+    assert len(v) == 2 and is_p_power(len(v), 2)
+    center = [x for x in full if all(A4.mul(x, y) == A4.mul(y, x) for y in full)]
+    assert [A4.perm(x) for x in center] == [P.identity(4)]
+    e = A4.id_of(P.parse("(1 2 3)", 4))
+    cent = [x for x in full if A4.mul(x, e) == A4.mul(e, x)]
+    assert len(cent) == 3  # <(1 2 3)> centralizes itself in A4
 
 
 def test_hom_verification_and_kernel():
@@ -225,3 +228,20 @@ def test_element_orders_without_the_table(monkeypatch):
     monkeypatch.undo()
     assert A5._mul is None
     assert A5.element_orders == [P.order(p) for p in A5.elements]
+
+
+@pytest.mark.parametrize("name", ["A5", "D25", "trivial"])
+def test_mul_table_matches_compose(name):
+    G = {
+        "A5": lambda: alternating(5),
+        "D25": lambda: dihedral(25),
+        # one element: a one-index itemgetter would return a scalar
+        "trivial": lambda: generate([P.identity(3)]),
+    }[name]()
+    G.mul(G.identity_id, G.identity_id)
+    assert G._mul is not None and len(G._mul) == G.order
+    els = G.elements
+    for a in range(G.order):
+        row = G.mul_row(a)
+        assert isinstance(row, tuple) and len(row) == G.order
+        assert [els[x] for x in row] == [P.compose(els[a], y) for y in els]

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from nielsen_forge import perm as P
@@ -32,13 +34,13 @@ def test_p_prime_lift_order():
     _, ext = sl2_cover(3)
     lift = p_prime_lift(ext, P.parse("(1 2 3)", 4))
     assert P.order(lift) == 3
-    assert ext.proj.apply(lift) == P.parse("(1 2 3)", 4)
+    assert ext.G.perm(ext.proj.apply_id(ext.R.id_of(lift))) == P.parse("(1 2 3)", 4)
     # uniqueness: scanning both preimages finds exactly one of odd order
     gid = ext.G.id_of(P.parse("(1 2 3)", 4))
     odd = [
         r
-        for r in ext.fiber_ids(gid)
-        if ext.R.element_orders[r] % 2 == 1
+        for r in range(ext.R.order)
+        if ext.proj.full_map[r] == gid and ext.R.element_orders[r] % 2 == 1
     ]
     assert len(odd) == 1 and ext.R.perm(odd[0]) == lift
 
@@ -72,7 +74,7 @@ def test_spin_parity_values():
         P.parse("(1 4 2)", 4),
         P.parse("(4 3 2)", 4),
     )
-    assert P.compose_all(contracted, 4) == P.identity(4)
+    assert reduce(P.compose, contracted) == P.identity(4)
     assert spin_parity(contracted, 4) == -1
     with pytest.raises(GenusHypothesisFails):
         spin_parity(_bg14(), 4)  # genus 1 for four 3-cycles on 4 points

@@ -1,19 +1,64 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nielsen_forge
 
 
-def test_library_has_no_assert_statements():
-    # `python -O` strips assert statements; invariants raise typed errors
+def _library_trees() -> dict:
     paths = sorted(Path(nielsen_forge.__file__).parent.glob("*.py"))
     assert paths
+    return {path: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements; invariants raise typed errors
     found = [
         f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in _library_trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names_used(node) -> Counter:
+    """Names read in node: bare names, attribute names and imported names."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def test_every_definition_is_used_or_exported():
+    # a function, class or method that the library never names outside its
+    # own body, and that __init__ does not export, is reached only by tests;
+    # matching is by name, so a name used anywhere keeps every definition of it
+    trees = _library_trees()
+    exported = {
+        alias.asname or alias.name
+        for path, tree in trees.items()
+        if path.name == "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and (path.name, node.name) != ("cli.py", "main")
+        and used[node.name] == _names_used(node)[node.name]
+    ]
+    assert dead == []

@@ -14,7 +14,6 @@ from nielsen_forge.presets import (
     dihedral_chain,
     direct_product_with_cyclic,
     sl2_cover,
-    v2_pm_chain,
 )
 from nielsen_forge.tower import (
     LevelMap,
@@ -107,8 +106,7 @@ def test_sl23_graph_marks_obstruction():
 
 
 def test_lattice_tower_components():
-    groups, homs = v2_pm_chain(3, 1)
-    base = groups[0]
+    base, homs = chain_from_specs(["V2xPM(3)", "V2xPM(9)"])
     inv = [c for c in base.conjugacy_classes() if c.element_order == 2][0]
     C = ClassMultiset([(inv, 4)])
     g = build_graph([LevelMap(homs[0], 3)], C, 3)
