@@ -44,6 +44,10 @@ class CentralExtension:
         self.G = G
         self.proj = proj
         self.p = p
+        if kernel_gen not in R:
+            raise ConfigError(
+                f"kernel generator {P.format_cycles(kernel_gen)} is not in R"
+            )
         self.kernel_gen_id = R.id_of(kernel_gen)
         powers = [R.identity_id]
         x = self.kernel_gen_id

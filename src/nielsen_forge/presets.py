@@ -3,8 +3,8 @@
 Everything is realized as a permutation group: dihedral groups on m points,
 semidirect products (Z/m)^2 x| J on the m^2 lattice points, the Heisenberg
 group and the SL(2,q) double covers by right-regular action on their own
-elements.  The double-cover projections use frozen generator-image tables
-verified by full homomorphism checks at construction time.
+elements.  The double-cover projections use frozen generator-image tables,
+extended to homomorphisms (and so checked) at construction time.
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ def extension_from_string(
     kernel=<perm>; p=<prime>" with images/kernel in cycle notation.
 
     Custom extensions need the target group (the pipeline group); the
-    projection is extended and verified on the full table from the
-    generator images.
+    projection is extended from the generator images, and that extension
+    is the homomorphism check (see GroupHom).
     """
     body = text.strip()
     if "=" in body:

@@ -283,6 +283,28 @@ def test_invalid_custom_extension_is_a_typed_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "images,kernel,name,exit_code",
+    [
+        # (1 2) is odd, so it is no image in A(4)
+        ("(1 2),(2 3 4)", "(1 2)", "NotAHomomorphism", 11),
+        # the projection is fine; (1 2) is not in SL23's regular action
+        ("(1 2)(3 4),(2 3 4)", "(1 2)", "ConfigError", 2),
+    ],
+    ids=["image-outside-target", "kernel-outside-R"],
+)
+def test_extension_permutation_outside_its_group(
+    capsys, images, kernel, name, exit_code
+):
+    code, _, err = run_cli(
+        capsys, "report", "--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "2",
+        "--extension", f"R=SL23; images={images}; kernel={kernel}; p=2",
+    )
+    assert code == exit_code
+    assert err.startswith(f"error[{name}:{exit_code}]")
+    assert "(1 2)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--group", "A(4)", "--classes", "(1 9):4", "--prime", "2"),

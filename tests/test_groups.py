@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from nielsen_forge import perm as P
@@ -9,11 +12,15 @@ from nielsen_forge.errors import (
     PCenterNotReduced,
 )
 from nielsen_forge.groups import (
+    FiniteGroup,
+    GroupHom,
     close_under_product,
+    frattini_of_p_group,
     generate,
     hom,
     is_p_perfect,
     is_p_power,
+    maximal_normal_p_subgroup,
     quotient,
     reduce_p_center,
 )
@@ -22,6 +29,7 @@ from nielsen_forge.presets import (
     dihedral,
     group_from_string,
     sl2_cover,
+    symmetric,
     v2_z3,
 )
 
@@ -140,6 +148,113 @@ def test_hom_rejects_non_homomorphism():
     bad = [P.parse("(1 2 3)", 4), P.parse("(1 2 3)", 4)]
     with pytest.raises(NotAHomomorphism):
         hom(A4, A4, bad)
+
+
+def _candidate_map(G, images):
+    """The map that sends each element along the first word found for it by
+    left multiplication, or None unless it sends the generators to images and
+    f(xy) = f(x)f(y) on every pair of permutations."""
+    gens = list(zip(G.generators, images))
+    one = P.identity(G.degree)
+    f = {one: P.identity(len(images[0]))}
+    reached = [one]
+    for w in reached:
+        for g, im in gens:
+            y = P.compose(g, w)
+            if y not in f:
+                f[y] = P.compose(im, f[w])
+                reached.append(y)
+    if any(f[g] != im for g, im in gens):
+        return None
+    if any(f[P.compose(x, y)] != P.compose(f[x], f[y]) for x in f for y in f):
+        return None
+    return f
+
+
+@pytest.mark.parametrize(
+    "source,target",
+    [("A4", "A4"), ("A4", "Z3"), ("S4", "S3"), ("D6", "D3"), ("V2xZ3(2)", "A4")],
+)
+def test_hom_accepts_exactly_the_homomorphisms(source, target):
+    # every choice of generator images: GroupHom succeeds, with the oracle's
+    # map, exactly when the all-pairs check on permutations accepts
+    make = {
+        "A4": lambda: alternating(4),
+        "Z3": lambda: generate([P.parse("(1 2 3)", 3)]),
+        "S4": lambda: symmetric(4),
+        "S3": lambda: symmetric(3),
+        "D6": lambda: dihedral(6),
+        "D3": lambda: dihedral(3),
+        "V2xZ3(2)": lambda: v2_z3(2),
+    }
+    G, T = make[source](), make[target]()
+    accepted = rejected = 0
+    for images in itertools.product(T.elements, repeat=len(G.generators)):
+        f = _candidate_map(G, images)
+        if f is None:
+            rejected += 1
+            with pytest.raises(NotAHomomorphism):
+                GroupHom(G, T, images)
+        else:
+            accepted += 1
+            expect = tuple(T.id_of(f[x]) for x in G.elements)
+            assert GroupHom(G, T, images).full_map == expect
+    assert accepted and rejected
+
+
+def test_level_map_costs_linear_products(monkeypatch):
+    # the BFS is the only check: one source and one target product per
+    # (element, generator), not a pass over the |G|^2 pairs
+    big, small = dihedral(125), dihedral(25)
+    big.mul(0, 0)
+    small.mul(0, 0)
+    calls = 0
+    real = FiniteGroup.mul
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counting)
+    f = GroupHom(big, small, small.generators)
+    monkeypatch.undo()
+    assert f.is_surjective and len(f.kernel_ids) == 5
+    assert calls <= 2 * big.order * len(big.generators) == 1000
+
+
+@pytest.mark.parametrize(
+    "spec,p",
+    [
+        ("D(27)", 3), ("D(125)", 5), ("V2xPM(9)", 3), ("Heis(3)", 3),
+        ("SL23", 2), ("S(4)", 2), ("D(12)", 2), ("D(12)", 3),
+    ],
+)
+def test_p_core_and_frattini_match_all_pairs(spec, p):
+    # O_p(G) is the union of the normal closures that are p-groups, and
+    # Phi(P) is generated by every p-th power and every commutator in P;
+    # both are worked out here on permutations
+    G, _ = group_from_string(spec)
+    els = G.elements
+    one = P.identity(G.degree)
+    core = {one}
+    for x in els:
+        if is_p_power(P.order(x), p):
+            closed = close_under_product(sorted({P.conjugate(x, h) for h in els}))
+            if is_p_power(len(closed), p):
+                core |= closed
+    phi_seeds = {one}
+    for a in core:
+        phi_seeds.add(functools.reduce(P.compose, [a] * p))
+        inv_a = P.inverse(a)
+        for b in core:
+            phi_seeds.add(
+                P.compose(P.compose(a, b), P.compose(inv_a, P.inverse(b)))
+            )
+    phi = close_under_product(sorted(phi_seeds))
+    o_p = maximal_normal_p_subgroup(G, p)
+    assert o_p == {G.id_of(x) for x in core}
+    assert frattini_of_p_group(G, o_p, p) == {G.id_of(x) for x in phi}
 
 
 def test_abelianization_hom_kernel_is_v4():
