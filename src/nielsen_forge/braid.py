@@ -194,6 +194,7 @@ class BraidOrbit:
         self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
         self._cusps: tuple[CuspOrbit, ...] | None = None
+        self._hm: list[bool] | None = None
 
     @property
     def size(self) -> int:

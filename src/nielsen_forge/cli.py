@@ -101,10 +101,17 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out: str) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -196,8 +203,7 @@ def _cmd_tower(args) -> int:
     chain = [LevelMap(h, cfg.prime) for h in homs]
     graph = build_graph(chain, C, cfg.prime)
     if cfg.dot:
-        with open(cfg.dot, "w") as fh:
-            fh.write(graph.to_dot())
+        _write(cfg.dot, graph.to_dot())
     if (cfg.fmt or "json") == "json":
         _emit(export_json(graph), cfg.out)
     else:

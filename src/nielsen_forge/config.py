@@ -120,7 +120,11 @@ def load_config_file(path: str | Path) -> RunConfig:
     """Parse 'key = value' lines; '#' starts a comment."""
     cfg = RunConfig()
     known = set(vars(cfg))
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -17,14 +17,13 @@ from math import lcm
 from . import perm as P
 from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_of, cusp_orbits
 from .errors import (
-    ClosureExceedsCap,
     FormulaMismatch,
     InconsistentType,
     NegativeGenus,
     NonIntegralGenus,
     RankNotFour,
 )
-from .groups import close_under_product, orbit_of
+from .groups import orbit_of, perm_group_order
 from .lifting import (
     CentralExtension,
     LiftInvariant,
@@ -142,6 +141,13 @@ def _is_hm(group, cls: ReducedClass) -> bool:
     )
 
 
+def _hm_flags(orbit: BraidOrbit) -> list[bool]:
+    """_is_hm of each class of the orbit, computed once and kept on it."""
+    if orbit._hm is None:
+        orbit._hm = [_is_hm(orbit.group, c) for c in orbit.classes]
+    return orbit._hm
+
+
 def classify_cusp(
     cusp: CuspOrbit, p: int, extension: CentralExtension | None = None
 ) -> CuspType:
@@ -151,15 +157,8 @@ def classify_cusp(
         raise RankNotFour("cusp types are defined for r = 4")
     ctx = canonical_context(group)
     orders = group.element_orders
-    pair_order: dict[tuple[int, ...], int] = {}
-
-    def subgroup_order(x: int, y: int) -> int:
-        key = ctx.canon((x, y) if x <= y else (y, x))
-        if key not in pair_order:
-            pair_order[key] = len(group.subgroup_closure(key))
-        return pair_order[key]
-
     orbit = cusp.orbit
+    hm = _hm_flags(orbit)
     kinds = set()
     mps = set()
     is_hm = False
@@ -171,14 +170,14 @@ def classify_cusp(
         if mp % p == 0:
             kinds.add(P_CUSP)
         elif (
-            subgroup_order(g2, g3) % p != 0
-            and subgroup_order(g1, g4) % p != 0
+            ctx.pair_order(g2, g3) % p != 0
+            and ctx.pair_order(g1, g4) % p != 0
         ):
             kinds.add(G_PRIME)
         else:
             kinds.add(O_PRIME)
-        is_hm = is_hm or _is_hm(group, orbit.classes[i])
-        is_shift = is_shift or _is_hm(group, orbit.classes[orbit.gamma_1[i]])
+        is_hm = is_hm or hm[i]
+        is_shift = is_shift or hm[orbit.gamma_1[i]]
     if len(kinds) != 1:
         raise InconsistentType(
             f"cusp members disagree on the type: {sorted(kinds)}"
@@ -367,13 +366,11 @@ class ScreenResult:
 def monodromy_order(orbit: BraidOrbit, cap: int) -> int | None:
     """Order of <gamma_0, gamma_1, gamma_inf>, or None once past the cap.
 
-    gamma_0 = (gamma_1 gamma_inf)^-1, so the closure of <gamma_1, gamma_inf>
-    is the same group; only its size is needed.
+    gamma_0 = (gamma_1 gamma_inf)^-1, so <gamma_1, gamma_inf> is the same
+    group.  Only its order is needed, and Schreier-Sims finds it from a
+    stabilizer chain without listing the elements.
     """
-    try:
-        return len(close_under_product([orbit.gamma_1, orbit.gamma_inf], cap))
-    except ClosureExceedsCap:
-        return None
+    return perm_group_order([orbit.gamma_1, orbit.gamma_inf], cap)
 
 
 def congruence_screen(

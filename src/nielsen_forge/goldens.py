@@ -29,7 +29,7 @@ from .cusps import (
     middle_twist_orbit,
     sh_incidence,
 )
-from .errors import GenusHypothesisFails
+from .errors import ConfigError, GenusHypothesisFails
 from .groups import generate
 from .lifting import (
     factor_through_pairs,
@@ -670,7 +670,7 @@ KNOWN_DISCREPANCIES = {
 
 def run_suite(name: str) -> list[Check]:
     if name not in SUITES:
-        raise KeyError(
+        raise ConfigError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
     checks: list[Check] = []

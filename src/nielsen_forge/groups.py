@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -61,6 +61,95 @@ def close_under_product(gens: Sequence[Perm], cap: int | None = None) -> set[Per
                         )
         frontier = new
     return seen
+
+
+def perm_group_order(gens: Sequence[Perm], cap: int) -> int | None:
+    """|<gens>| by deterministic Schreier-Sims, or None once it passes cap.
+
+    Level i holds a base point b_i, strong generators S_i that fix
+    b_0..b_{i-1}, and a transversal: for each point x in the orbit of b_i
+    under <S_i>, some u_x in <S_i> with u_x[b_i] = x.  A Schreier generator
+    u_x s u_{s[x]}^-1 (x in the orbit, s in S_i) fixes b_i; one that does
+    not sift to the identity through the levels below leaves a residue that
+    becomes a new strong generator there.  Once every Schreier generator
+    sifts, the order is the product of the orbit lengths.  That product
+    never exceeds the order and only grows, so passing the cap ends the run.
+    Levels are worked deepest first, and a Schreier generator that sifted
+    stays sifted, because the levels below only gain generators; so each
+    (point, generator) pair is settled once, and the pairs that built the
+    transversal are trivial and never formed.  Every product goes through
+    P.compose and every inverse through P.inverse.
+    """
+    if not gens:
+        raise ValueError("need at least one generator")
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators must share one degree")
+    ident = P.identity(degree)
+    # per level: the base point, S_i, x -> (u_x, u_x^-1), the orbit in the
+    # order reached, and the settled (point, generator index) pairs
+    base: list[int] = []
+    strong: list[list[Perm]] = []
+    trans: list[dict[int, tuple[Perm, Perm]]] = []
+    points: list[list[int]] = []
+    settled: list[set[tuple[int, int]]] = []
+
+    def sift(h: Perm, start: int) -> tuple[Perm, int]:
+        for k in range(start, len(base)):
+            u = trans[k].get(h[base[k]])
+            if u is None:
+                return h, k
+            h = P.compose(h, u[1])
+        return h, len(base)
+
+    def add(h: Perm, top: int, last: int) -> None:
+        """h fixes b_0..b_{top-1}: a strong generator on levels top..last."""
+        if last == len(base):
+            b = next(x for x in range(degree) if h[x] != x)
+            base.append(b)
+            strong.append([])
+            trans.append({b: (ident, ident)})
+            points.append([b])
+            settled.append(set())
+        for k in range(top, last + 1):
+            strong[k].append(h)
+            orbit = trans[k]
+            for x in points[k]:  # grows as the orbit does
+                for j, s in enumerate(strong[k]):
+                    y = s[x]
+                    if y not in orbit:
+                        u = P.compose(orbit[x][0], s)
+                        orbit[y] = (u, P.inverse(u))
+                        points[k].append(y)
+                        settled[k].add((x, j))
+
+    for g in gens:
+        h, last = sift(g, 0)
+        if h != ident:
+            add(h, 0, last)
+    i = len(base) - 1
+    while i >= 0:
+        if prod(map(len, points)) > cap:
+            return None
+        orbit, restart = trans[i], None
+        for x in points[i]:
+            for j, s in enumerate(strong[i]):
+                if (x, j) in settled[i]:
+                    continue
+                y = s[x]
+                g = P.compose(orbit[x][0], s)
+                if g != orbit[y][0]:
+                    h, last = sift(P.compose(g, orbit[y][1]), i + 1)
+                    if h != ident:
+                        add(h, i + 1, last)
+                        restart = last
+                        break
+                settled[i].add((x, j))
+            if restart is not None:
+                break
+        i = i - 1 if restart is None else restart
+    order = prod(map(len, points))
+    return order if order <= cap else None
 
 
 def is_p_power(n: int, p: int) -> bool:
@@ -144,25 +233,32 @@ class FiniteGroup:
         # with L_g[x] the id of g * x, filled in BFS order from the identity
         # row, so each new row is one itemgetter over a row built before it.
         # A one-element group derives no row, so no itemgetter gets a single
-        # index (which would return a scalar).
+        # index (which would return a scalar).  Inverses follow the same
+        # tree, (g*c)^-1 = c^-1 * g^-1, so only the generators are inverted
+        # as permutations.
         idx = self._index
         els = self.elements
-        lefts = [
-            [idx[P.compose(els[gid], x)] for x in els]
-            for gid in set(self.generator_ids)
-        ]
+        gids = sorted(set(self.generator_ids))
+        lefts = [[idx[P.compose(els[gid], x)] for x in els] for gid in gids]
+        gen_invs = [idx[P.inverse(els[gid])] for gid in gids]
         e = self.identity_id
         rows: list[tuple[int, ...] | None] = [None] * self.order
         rows[e] = tuple(range(self.order))
+        parent = [(e, 0)] * self.order
         reached = [e]
         for c in reached:
-            for left in lefts:
+            for k, left in enumerate(lefts):
                 gc = left[c]
                 if rows[gc] is None:
                     rows[gc] = itemgetter(*rows[c])(left)
+                    parent[gc] = (c, k)
                     reached.append(gc)
+        inv = [e] * self.order
+        for x in reached[1:]:
+            c, k = parent[x]
+            inv[x] = rows[inv[c]][gen_invs[k]]
         self._mul = rows
-        self.inv  # conj reads _inv whenever the table exists
+        self._inv = inv  # conj reads _inv whenever the table exists
 
     def mul(self, a: int, b: int) -> int:
         if self._mul is None and not self._mul_attempted:
@@ -463,22 +559,31 @@ def maximal_normal_p_subgroup(G: FiniteGroup, p: int) -> frozenset[int]:
     return core
 
 
+def greedy_generators(G: FiniteGroup, ids) -> list[int]:
+    """Generators of the subgroup ids, taken in id order: each is the least
+    element outside the closure of those before it, so there are at most
+    log2 |ids| of them, at one closure each."""
+    gens: list[int] = []
+    have = frozenset([G.identity_id])
+    for a in sorted(ids):
+        if len(have) == len(ids):
+            break
+        if a not in have:
+            gens.append(a)
+            have = G.subgroup_closure(gens)
+    return gens
+
+
 def frattini_of_p_group(G: FiniteGroup, ids: frozenset[int], p: int) -> frozenset[int]:
     """Phi(P) = P^p [P, P] of a normal p-subgroup P = ids of G.
 
-    A generating set S of P is picked greedily, one closure per element of S
-    (at most log_p |P|).  The normal closure N in G of {a^p, [a, b] : a, b
-    in S} is Phi(P).  Phi(P) is characteristic in P, so normal in G, and it
+    S = greedy_generators(G, P) has at most log_p |P| elements.  The
+    normal closure N in G of {a^p, [a, b] : a, b in S} is Phi(P).  Phi(P) is characteristic in P, so normal in G, and it
     holds the seeds, so N <= Phi(P).  P/N is generated by the images of S,
     which commute and have order dividing p, so P/N is elementary abelian
     and Phi(P) <= N.
     """
-    gens: list[int] = []
-    have = frozenset([G.identity_id])
-    for a in sorted(ids):
-        if a not in have:
-            gens.append(a)
-            have = G.subgroup_closure(gens)
+    gens = greedy_generators(G, ids)
     seeds = {G.word([a] * p) for a in gens}
     seeds.update(G.word([a, b, G.inv[a], G.inv[b]]) for a in gens for b in gens)
     return G.normal_closure(seeds)

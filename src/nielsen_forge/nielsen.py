@@ -15,7 +15,14 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ClassNotPreserved, ConfigError, NotAnAutomorphism
-from .groups import ConjClass, FiniteGroup, GroupHom, orbit_of, partition_orbits
+from .groups import (
+    ConjClass,
+    FiniteGroup,
+    GroupHom,
+    greedy_generators,
+    orbit_of,
+    partition_orbits,
+)
 from .perm import Perm
 
 MAX_RANK = 8
@@ -82,6 +89,8 @@ class CanonicalContext:
         self._transporter: dict[int, int] = {}
         self._cent_of_min: dict[int, list[int]] = {}
         self._conjugators: dict[int, list[int]] = {}
+        self._cent_orbits: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._pair_order: dict[tuple[int, ...], int] = {}
 
     def _prepare_class(self, x: int) -> None:
         g = self.group
@@ -120,6 +129,32 @@ class CanonicalContext:
             t = self._transporter[x]
             hs = self._conjugators[x] = [g.mul(z, t) for z in self._cent_of_min[m]]
         return hs
+
+    def centralizer_orbits(self, m: int, cls: ConjClass) -> list[tuple[int, int]]:
+        """(least member, stabilizer order) of each Cent(m)-orbit on cls,
+        for a class minimum m; the orbits come from a greedy generating set
+        of Cent(m), not from a scan of Cent(m) per member."""
+        key = (m, cls.member_ids[0])
+        out = self._cent_orbits.get(key)
+        if out is None:
+            g = self.group
+            cent = self._cent_of_min[self.class_min(m)]
+            gens = greedy_generators(g, cent)
+            orbits = partition_orbits(
+                cls.member_ids, lambda x: [g.conj(x, h) for h in gens]
+            )
+            out = self._cent_orbits[key] = [
+                (o[0], len(cent) // len(o)) for o in orbits
+            ]
+        return out
+
+    def pair_order(self, x: int, y: int) -> int:
+        """|<x, y>|, one closure per conjugacy class of the sorted pair."""
+        key = self.canon((x, y) if x <= y else (y, x))
+        n = self._pair_order.get(key)
+        if n is None:
+            n = self._pair_order[key] = len(self.group.subgroup_closure(key))
+        return n
 
     def canon(self, ids: Sequence[int]) -> tuple[int, ...]:
         """Lexicographic minimum of h * ids * h^-1 over all h in the group."""
@@ -194,29 +229,37 @@ def generates(group: FiniteGroup, ids: Iterable[int]) -> bool:
 
 
 def _product_one_candidates(
-    group: FiniteGroup, pattern: Sequence[ConjClass], first_choices: Sequence[int]
+    group: FiniteGroup,
+    pattern: Sequence[ConjClass],
+    first_choices: Sequence[int],
+    second_choices: Sequence[int] | None = None,
 ) -> list[tuple[int, ...]]:
-    """Tuples in the given class order with product one (generation unchecked)."""
+    """Tuples in the given class order with product one (generation
+    unchecked); the second entry runs over second_choices, by default all
+    of its class."""
     r = len(pattern)
     inv = group.inv
     out: list[tuple[int, ...]] = []
     last_set = pattern[-1].member_set
+    seconds = pattern[1].member_ids if second_choices is None else second_choices
     if r == 3:
         for a in first_choices:
-            for b in pattern[1].member_ids:
+            for b in seconds:
                 c = inv[group.mul(a, b)]
                 if c in last_set:
                     out.append((a, b, c))
     elif r == 4:
         for a in first_choices:
             row_a = group.mul_row(a)
-            for b in pattern[1].member_ids:
+            for b in seconds:
                 row_ab = group.mul_row(row_a[b])
                 for c in pattern[2].member_ids:
                     d = inv[row_ab[c]]
                     if d in last_set:
                         out.append((a, b, c, d))
     else:
+        choices = [seconds] + [cls.member_ids for cls in pattern[2:]]
+
         def rec(prefix: tuple[int, ...], prod: int, depth: int) -> None:
             if depth == r - 1:
                 last = inv[prod]
@@ -224,7 +267,7 @@ def _product_one_candidates(
                     out.append(prefix + (last,))
                 return
             row = group.mul_row(prod)
-            for x in pattern[depth].member_ids:
+            for x in choices[depth - 1]:
                 rec(prefix + (x,), row[x], depth + 1)
 
         for a in first_choices:
@@ -294,13 +337,16 @@ def nielsen_inner_classes(
     """Inner classes of ni(G, C) without materializing every raw tuple.
 
     Every conjugation orbit contains tuples whose first entry is the class
-    minimum of its slot, and two such tuples are conjugate exactly under
-    the centralizer of that minimum; enumerating only those tuples and
-    deduplicating by canonical form gives the same classes as
-    ``inner_classes(enumerate_nielsen(...))``.  Each candidate is
-    canonicalized first and generation is tested once per form.  A
-    generating tuple is fixed under conjugation exactly by the center, so
-    every class has orbit size |G| / |Z(G)|.
+    minimum m of its slot, and two such tuples are conjugate exactly under
+    Cent(m).  So the second entry b runs only over the least member of each
+    Cent(m)-orbit on its class, and the tuples left are conjugate exactly
+    under Stab(b) = Cent(m) & Cent(b).  When |Stab(b)| = |Cent(m)| / |orbit|
+    equals |Z(G)|, Stab(b) is the center, which fixes every tuple, so each
+    tuple is its own lexicographic minimum and is not canonicalized; the
+    other candidates are.  Deduplicating by canonical form gives the same
+    classes as ``inner_classes(enumerate_nielsen(...))``, and generation is
+    tested once per form.  A generating tuple is fixed under conjugation
+    exactly by the center, so every class has orbit size |G| / |Z(G)|.
 
     ``below = (psi, lower canonicals)`` lifts them instead through psi, a
     Frattini cover with C the matched p' classes (``_frattini_lifts``).
@@ -310,7 +356,8 @@ def nielsen_inner_classes(
     if C.r < 3:
         raise ConfigError("Nielsen classes need r >= 3")
     ctx = canonical_context(group)
-    orbit_size = group.order // len(group.center_ids())
+    z = len(group.center_ids())
+    orbit_size = group.order // z
     if below is not None:
         lifts = _frattini_lifts(group, C, *below)
         return [InnerClass(group, canon, orbit_size) for canon in sorted(lifts)]
@@ -326,8 +373,11 @@ def nielsen_inner_classes(
 
     for pattern in _patterns(C):
         m = pattern[0].member_ids[0]
-        for ids in _product_one_candidates(group, pattern, (m,)):
-            canon = ctx.canon(ids)
+        reps = ctx.centralizer_orbits(m, pattern[1])
+        free = {b for b, stab in reps if stab == z}
+        seconds = [b for b, _ in reps]
+        for ids in _product_one_candidates(group, pattern, (m,), seconds):
+            canon = ids if ids[1] in free else ctx.canon(ids)
             if canon not in verdict:
                 # a tuple generates if one pair (m, x) does; the pair
                 # closures are few and shared, so the full test is last

@@ -380,3 +380,23 @@ def test_every_prime_the_cli_reads_is_checked(capsys, tmp_path):
         assert code == 2, argv
         assert "error[ConfigError:2]" in err, argv
         assert out == ""
+
+
+@pytest.mark.parametrize("case", ["config", "out", "dot", "suite"])
+def test_bad_path_or_suite_is_a_config_error(capsys, tmp_path, case):
+    missing = tmp_path / "no-such-dir"
+    chain = ("tower", "--chain", "D(3),D(9)", "--classes", "2:4", "--prime", "3")
+    argv, named = {
+        "config": (("report", "--config", str(missing / "run.cfg")), str(missing)),
+        "out": (
+            ("report", "--group", "D(9)", "--classes", "2:4", "--prime", "3",
+             "--out", str(missing / "r.md")),
+            str(missing),
+        ),
+        "dot": (chain + ("--dot", str(missing / "t.dot")), str(missing)),
+        "suite": (("verify", "--suite", "nosuch"), "dihedral-towers"),
+    }[case]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error[ConfigError:2]")
+    assert named in err

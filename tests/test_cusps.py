@@ -315,9 +315,9 @@ def test_monodromy_order_matches_three_generator_group(spec, classes):
 
 
 def test_monodromy_order_composition_budget(monkeypatch):
-    # the D(15) component has degree 96 and monodromy order 1440; counting
-    # the closure of two generators costs one product per element and
-    # generator
+    # the D(15) component has degree 96 and monodromy order 1440; listing
+    # the group costs one product per element and generator (2880), while a
+    # stabilizer chain needs far fewer
     import nielsen_forge.perm as perm_module
 
     (orbit,) = _components("D(15)", "2:4")
@@ -332,4 +332,44 @@ def test_monodromy_order_composition_budget(monkeypatch):
 
     monkeypatch.setattr(perm_module, "compose", counting)
     assert monodromy_order(orbit, 2880) == 1440
-    assert 0 < calls <= 2 * 1440
+    assert 0 < calls <= 1000
+
+
+@pytest.mark.parametrize(
+    "spec, classes, p",
+    [("D(15)", "2:4", 3), ("V2xPM(3)", "2:4", 3), ("A(5)", "3:4", 2), ("D(25)", "2:4", 5)],
+)
+def test_cusp_typing_budgets(monkeypatch, spec, classes, p):
+    # one H-M scan per class of each component, and one pair closure per
+    # conjugacy class of sorted pairs <g2, g3>, <g1, g4> over all cusps
+    import nielsen_forge.cusps as cusps_module
+    from nielsen_forge.groups import FiniteGroup
+    from nielsen_forge.nielsen import canonical_context
+
+    orbits = _components(spec, classes)
+    group = orbits[0].group
+    ctx = canonical_context(group)
+    pairs = set()
+    for o in orbits:
+        for cusp in cusp_orbits(o):
+            for g1, g2, g3, g4 in cusp.member_canonicals:
+                for x, y in ((g2, g3), (g1, g4)):
+                    pairs.add(ctx.canon((x, y) if x <= y else (y, x)))
+    scans, closures = [], []
+    is_hm, closure = cusps_module._is_hm, FiniteGroup.subgroup_closure
+
+    def counted_is_hm(g, cls):
+        scans.append(cls.canonical)
+        return is_hm(g, cls)
+
+    def counted_closure(self, ids):
+        closures.append(tuple(ids))
+        return closure(self, ids)
+
+    monkeypatch.setattr(cusps_module, "_is_hm", counted_is_hm)
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", counted_closure)
+    for o in orbits:
+        for cusp in cusp_orbits(o):
+            classify_cusp(cusp, p)
+    assert sorted(scans) == sorted(c.canonical for o in orbits for c in o.classes)
+    assert len(closures) == len(set(closures)) <= len(pairs)

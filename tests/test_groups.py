@@ -21,6 +21,7 @@ from nielsen_forge.groups import (
     is_p_perfect,
     is_p_power,
     maximal_normal_p_subgroup,
+    perm_group_order,
     quotient,
     reduce_p_center,
 )
@@ -360,3 +361,38 @@ def test_mul_table_matches_compose(name):
         row = G.mul_row(a)
         assert isinstance(row, tuple) and len(row) == G.order
         assert [els[x] for x in row] == [P.compose(els[a], y) for y in els]
+
+
+# one spec per preset family; V2xPM(27) and A(7) are the largest tabled groups
+PRESET_SPECS = [
+    "A(4)", "A(5)", "A(7)", "S(4)", "S(6)", "D(9)", "D(125)", "V2xPM(3)",
+    "V2xPM(27)", "V2xZ3(5)", "Heis(3)", "SL23", "SL25",
+]
+
+
+@pytest.mark.parametrize("spec", PRESET_SPECS)
+def test_table_inverses_match_permutation_inverses(spec):
+    G, _ = group_from_string(spec)
+    G.mul(G.identity_id, G.identity_id)
+    assert G._mul is not None
+    assert G.inv == [G.id_of(P.inverse(p)) for p in G.elements]
+
+
+ORDER_SPECS = [
+    "A(4)", "A(5)", "A(6)", "A(7)", "S(4)", "S(5)", "S(6)", "D(9)", "D(125)",
+    "V2xZ3(5)", "SL23", "SL25", "Heis(3)",
+]
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_perm_group_order_matches_closure(spec):
+    import random
+
+    G, _ = group_from_string(spec)
+    rng = random.Random(spec)
+    for _ in range(12):
+        gens = [G.perm(rng.randrange(G.order)) for _ in range(rng.randint(1, 3))]
+        n = len(close_under_product(gens, G.order))
+        assert perm_group_order(gens, n) == n
+        # None exactly when the order passes the cap
+        assert perm_group_order(gens, n - 1) is None

@@ -259,6 +259,47 @@ def test_orbit_sizes_on_a_group_with_center():
     assert {c.orbit_size for c in fast} == {12}
 
 
+HEIS3_AB = (
+    "(1 4 7)(2 5 8)(3 6 9)(10 14 18)(11 15 16)(12 13 17)(19 24 26)(20 22 27)(21 23 25):1,"
+    "(1 7 4)(2 8 5)(3 9 6)(10 18 14)(11 16 15)(12 17 13)(19 26 24)(20 27 22)(21 25 23):1,"
+    "(1 10 19)(2 11 20)(3 12 21)(4 13 22)(5 14 23)(6 15 24)(7 16 25)(8 17 26)(9 18 27):1,"
+    "(1 19 10)(2 20 11)(3 21 12)(4 22 13)(5 23 14)(6 24 15)(7 25 16)(8 26 17)(9 27 18):1"
+)
+
+
+@pytest.mark.parametrize(
+    "spec, classes",
+    [
+        ("SL23", "3+:2,3-:2"),  # center of order 2
+        ("Heis(3)", HEIS3_AB),  # center of order 3
+        ("D(9)", "2:4"),  # some Cent(m)-orbits have a stabilizer past the center
+        ("A(5)", "5+:1,5-:1,3:1"),  # r = 3
+        ("A(5)", "3:5"),  # r = 5
+        # the untabled S(7) input: 5040 elements, no multiplication table
+        ("S(7)", "(1 2 3 4 5 6 7):1,(1 2):1,(1 2 3 4 5 6):1"),
+    ],
+)
+def test_centralizer_orbit_enumeration_matches_raw_tuples(spec, classes):
+    from nielsen_forge.nielsen import _patterns, _product_one_candidates
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    fast = nielsen_inner_classes(G, C)
+    slow = inner_classes(enumerate_nielsen(G, C))
+    assert fast
+    assert [(c.canonical, c.orbit_size) for c in fast] == [
+        (c.canonical, c.orbit_size) for c in slow
+    ]
+    # a candidate whose second entry has the center as its stabilizer in
+    # Cent(m) is already canonical, which is why it is not canonicalized
+    ctx, z = canonical_context(G), len(G.center_ids())
+    for pattern in _patterns(C):
+        m = pattern[0].member_ids[0]
+        free = [b for b, stab in ctx.centralizer_orbits(m, pattern[1]) if stab == z]
+        for ids in _product_one_candidates(G, pattern, (m,), free):
+            assert ctx.canon(ids) == ids
+
+
 def test_untabled_conj_and_canon_agree_with_tabled(monkeypatch):
     import nielsen_forge.groups as groups
 

@@ -17,7 +17,8 @@ from nielsen_forge.config import parse_class_selector
 from nielsen_forge.presets import group_from_string
 from nielsen_forge.report import run_pipeline
 
-# Nielsen tuples per grid entry; V2xZ3(5), with 93600, is too slow for tier 1
+# Nielsen tuples per tier-1 grid entry; V2xZ3(5), with 93600, runs only in
+# the slow test below
 MAX_RAW_TUPLES = 12000
 
 
@@ -99,7 +100,7 @@ def cycle_lengths(perm):
     return out
 
 
-def raw_oracle(gens, reps):
+def raw_oracle(gens, reps, max_tuples=MAX_RAW_TUPLES):
     """(degree, genus, widths) of each component, from raw tuples.
 
     reps holds (class representative, multiplicity) pairs.
@@ -128,7 +129,7 @@ def raw_oracle(gens, reps):
     keep = {b for b, t in first.items() if len(closure(t)) == len(elements)}
     tuples = [t for t, b in zip(raw, full) if b in keep]
     component = [b for b in full if b in keep]
-    assert len(tuples) <= MAX_RAW_TUPLES
+    assert len(tuples) <= max_tuples
     index = {t: i for i, t in enumerate(tuples)}
     reduced = blocks(
         tuples, index, lambda t: conjugates(t) + [word(t, *SH, *SH), word(t, (0, 1), (2, -1))]
@@ -169,11 +170,21 @@ GRID = [
 ]
 
 
-@pytest.mark.parametrize("spec,classes,p", GRID)
-def test_pipeline_matches_raw_tuple_oracle(spec, classes, p):
+def _check_against_oracle(spec, classes, p, max_tuples=MAX_RAW_TUPLES):
     G, _ = group_from_string(spec)
     C = parse_class_selector(G, classes)
     result = run_pipeline(G, C, p)
     got = sorted((d.degree, d.genus, d.widths) for d in result.dossiers)
-    expect = raw_oracle(list(G.generators), [(cls.representative, m) for cls, m in C.entries])
-    assert got == expect
+    reps = [(cls.representative, m) for cls, m in C.entries]
+    assert got == raw_oracle(list(G.generators), reps, max_tuples)
+
+
+@pytest.mark.parametrize("spec,classes,p", GRID)
+def test_pipeline_matches_raw_tuple_oracle(spec, classes, p):
+    _check_against_oracle(spec, classes, p)
+
+
+@pytest.mark.slow
+def test_pipeline_matches_raw_tuple_oracle_v2xz3_5():
+    """The last grid entry, opt-in: python -m pytest -m slow tests/test_oracle.py"""
+    _check_against_oracle("V2xZ3(5)", "3+:2,3-:2", 5, max_tuples=93600)
