@@ -10,6 +10,8 @@ product-one relation gamma_0 gamma_1 gamma_inf = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 from . import perm as P
@@ -88,17 +90,15 @@ def q2_variants(
 
 @dataclass(slots=True)
 class ReducedClass:
-    """Class under conjugation together with Q'' (r=4 only), with the inner
-    canonicals of q2 and sh applied to its canonical tuple and the positions,
-    in the sorted list reduced_classes returns, of the classes holding them."""
+    """Class under conjugation together with Q'' (r=4 only), with the
+    positions, in the sorted list reduced_classes returns, of the classes
+    holding q2 and sh of its canonical tuple."""
 
     group: FiniteGroup
     canonical: tuple[int, ...]
     inner_canonicals: tuple[tuple[int, ...], ...]
     size: int
     q2_orbit_length: int
-    q2_image: tuple[int, ...]
-    sh_image: tuple[int, ...]
     q2_target: int
     sh_target: int
 
@@ -110,22 +110,28 @@ class ReducedClass:
 def _braid_table(
     group: FiniteGroup, keys: Sequence[tuple[int, ...]]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """sh and q2 on the sorted inner canonicals, one canon call per move, and
-    the Q'' generators sh^2 and q1 q3^-1 = sh^-1 q2 sh sh q2^-1 sh^-1 (left
-    to right; q1 = sh^-1 q2 sh and q3 = sh q2 sh^-1 hold on raw tuples)."""
-    ctx = canonical_context(group)
+    """sh and q2 on the sorted inner canonicals, all images canonicalized in
+    one canon_many call, and the Q'' generators sh^2 and q1 q3^-1 =
+    sh^-1 q2 sh sh q2^-1 sh^-1 (left to right; q1 = sh^-1 q2 sh and
+    q3 = sh q2 sh^-1 hold on raw tuples)."""
+    conj = group.conj
+    images = canonical_context(group).canon_many(
+        chain(
+            ((b, c, d, a) for a, b, c, d in keys),  # _shift_ids
+            ((a, conj(c, b), b, d) for a, b, c, d in keys),  # _twist at q2
+        )
+    )
     index = {t: i for i, t in enumerate(keys)}
-
-    def target(ids: tuple[int, ...]) -> int:
-        i = index.get(ctx.canon(ids))
-        if i is None:
-            raise ClassListEscape("braid action left the supplied inner class list")
-        return i
-
-    sh = [target(_shift_ids(t)) for t in keys]
-    q2 = [target(_twist(group, t, 1, +1)) for t in keys]
-    sh_inv, q2_inv = [0] * len(keys), [0] * len(keys)
-    for i in range(len(keys)):
+    try:
+        moved = list(map(index.__getitem__, images))
+    except KeyError:
+        raise ClassListEscape(
+            "braid action left the supplied inner class list"
+        ) from None
+    n = len(keys)
+    sh, q2 = moved[:n], moved[n:]
+    sh_inv, q2_inv = [0] * n, [0] * n
+    for i in range(n):
         sh_inv[sh[i]] = i
         q2_inv[q2[i]] = i
     sh2 = [sh[j] for j in sh]
@@ -140,10 +146,10 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
     group = inner[0].group
     if len(inner[0].canonical) != 4:
         raise RankNotFour("reduced classes are defined for r = 4 only")
-    inner = sorted(inner, key=lambda c: c.canonical)
+    inner = sorted(inner, key=attrgetter("canonical"))
     keys = [c.canonical for c in inner]
     sh, q2, sh2, q13inv = _braid_table(group, keys)
-    orbits = partition_orbits(range(len(keys)), lambda i: (sh2[i], q13inv[i]))
+    orbits = partition_orbits(range(len(keys)), (sh2, q13inv))
     sizes = [c.orbit_size for c in inner]
     reduced_of = [0] * len(keys)
     for r, m in enumerate(orbits):
@@ -152,15 +158,18 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
     out = []
     for m in orbits:
         a = m[0]
+        if len(m) == 1:
+            members, size = (keys[a],), sizes[a]
+        else:
+            members = tuple(map(keys.__getitem__, m))
+            size = sum(map(sizes.__getitem__, m))
         out.append(
             ReducedClass(
                 group,
                 keys[a],
-                tuple(map(keys.__getitem__, m)),
-                sum(map(sizes.__getitem__, m)),
+                members,
+                size,
                 len(m),
-                keys[q2[a]],
-                keys[sh[a]],
                 reduced_of[q2[a]],
                 reduced_of[sh[a]],
             )
@@ -189,7 +198,7 @@ class BraidOrbit:
     ):
         self.group = group
         self.classes = tuple(classes)
-        self.members = tuple(c.canonical for c in self.classes)
+        self.members = tuple(map(attrgetter("canonical"), self.classes))
         self.gamma_inf: Perm = tuple(gamma_inf)
         self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
@@ -216,23 +225,16 @@ def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     group = reduced[0].group
     if len(reduced[0].canonical) != 4:
         raise RankNotFour("braid orbits on reduced classes need r = 4")
-    try:
-        escaped = any(
-            c.q2_image not in reduced[c.q2_target].inner_canonicals
-            or c.sh_image not in reduced[c.sh_target].inner_canonicals
-            for c in reduced
-        )
-    except IndexError:
-        escaped = True
-    if escaped:
-        raise ClassListEscape("braid action left the reduced class list")
+    escape = ClassListEscape("braid action left the reduced class list")
+    # the targets are positions in the sorted list reduced_classes returned
+    canonicals = [c.canonical for c in reduced]
+    if canonicals != sorted(canonicals):
+        raise escape
     gamma_inf = [c.q2_target for c in reduced]
     gamma_1 = [c.sh_target for c in reduced]
     local = [0] * len(reduced)
     orbits = []
-    for members in partition_orbits(
-        range(len(reduced)), lambda i: (gamma_inf[i], gamma_1[i])
-    ):
+    for members in partition_orbits(range(len(reduced)), (gamma_inf, gamma_1), escape):
         for j, g in enumerate(members):
             local[g] = j
         orbits.append(
@@ -254,7 +256,7 @@ class H3Orbit:
     def __init__(self, group: FiniteGroup, classes: Sequence[InnerClass]):
         self.group = group
         self.classes = tuple(sorted(classes, key=lambda c: c.canonical))
-        self.members = tuple(c.canonical for c in self.classes)
+        self.members = tuple(map(attrgetter("canonical"), self.classes))
 
     @property
     def size(self) -> int:

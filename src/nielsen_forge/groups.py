@@ -185,7 +185,28 @@ def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list]
 
     The moves must act by permutations, so that orbits are disjoint: the
     sorted keys are visited once and one set marks every point reached.
+    For integer keys range(n), moves is a sequence of index arrays (move k
+    sends i to moves[k][i]), walked with a bytearray mark instead.
     """
+    if isinstance(keys, range):
+        n = len(keys)
+        if any(min(a, default=0) < 0 or max(a, default=0) >= n for a in moves):
+            raise escape
+        mark = bytearray(n)
+        out = []
+        for start in keys:
+            if not mark[start]:
+                mark[start] = 1
+                orbit = [start]
+                for t in orbit:
+                    for a in moves:
+                        u = a[t]
+                        if not mark[u]:
+                            mark[u] = 1
+                            orbit.append(u)
+                orbit.sort()
+                out.append(orbit)
+        return out
     seen: set = set()
     out = []
     for start in sorted(keys):
@@ -269,11 +290,19 @@ class FiniteGroup:
             return self._mul[a][b]
         return self._index[P.compose(self.elements[a], self.elements[b])]
 
+    @property
+    def mul_table(self) -> list[tuple[int, ...]] | None:
+        """Rows of the multiplication table, built on first use; None above
+        MUL_TABLE_MAX."""
+        if not self._mul_attempted:
+            self.mul(self.identity_id, self.identity_id)
+        return self._mul
+
     def mul_row(self, a: int) -> Sequence[int]:
         """Row of the multiplication table (a*x for every x), if tabled."""
-        self.mul(a, self.identity_id)
-        if self._mul is not None:
-            return self._mul[a]
+        tab = self.mul_table
+        if tab is not None:
+            return tab[a]
         return [self.mul(a, b) for b in range(self.order)]
 
     @property
@@ -322,9 +351,9 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list["ConjClass"]:
         """Classes sorted by (size, least member id), the order reports print."""
         if self._classes is None:
-            gens, conj = self.generator_ids, self.conj
+            conj, n = self.conj, self.order
             orbits = partition_orbits(
-                range(self.order), lambda x: [conj(x, g) for g in gens]
+                range(n), [[conj(x, g) for x in range(n)] for g in self.generator_ids]
             )
             orbits.sort(key=lambda ids: (len(ids), ids[0]))
             self._classes = [ConjClass(self, tuple(ids)) for ids in orbits]

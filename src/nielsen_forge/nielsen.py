@@ -10,9 +10,9 @@ minimum remains to scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ClassNotPreserved, ConfigError, NotAnAutomorphism
 from .groups import (
@@ -88,9 +88,12 @@ class CanonicalContext:
         self._class_min: dict[int, int] = {}
         self._transporter: dict[int, int] = {}
         self._cent_of_min: dict[int, list[int]] = {}
-        self._conjugators: dict[int, list[int]] = {}
         self._cent_orbits: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._pair_order: dict[tuple[int, ...], int] = {}
+        self._raw_pair_order: dict[tuple[int, int], int] = {}
+        self._heads: dict[int, tuple[int, list[tuple]]] = {}
+        # tuples canonicalized so far, by canon and canon_many alike
+        self.canonicalized = 0
 
     def _prepare_class(self, x: int) -> None:
         g = self.group
@@ -121,15 +124,6 @@ class CanonicalContext:
             self._prepare_class(x)
         return self._class_min[x]
 
-    def conjugators_to_min(self, x: int) -> list[int]:
-        """All h with h x h^-1 = class_min(x), as Cent(min) * transporter."""
-        hs = self._conjugators.get(x)
-        if hs is None:
-            g, m = self.group, self.class_min(x)
-            t = self._transporter[x]
-            hs = self._conjugators[x] = [g.mul(z, t) for z in self._cent_of_min[m]]
-        return hs
-
     def centralizer_orbits(self, m: int, cls: ConjClass) -> list[tuple[int, int]]:
         """(least member, stabilizer order) of each Cent(m)-orbit on cls,
         for a class minimum m; the orbits come from a greedy generating set
@@ -149,31 +143,92 @@ class CanonicalContext:
         return out
 
     def pair_order(self, x: int, y: int) -> int:
-        """|<x, y>|, one closure per conjugacy class of the sorted pair."""
-        key = self.canon((x, y) if x <= y else (y, x))
-        n = self._pair_order.get(key)
+        """|<x, y>|, one closure per conjugacy class of the sorted pair and
+        one canonicalization per sorted pair."""
+        raw = (x, y) if x <= y else (y, x)
+        n = self._raw_pair_order.get(raw)
         if n is None:
-            n = self._pair_order[key] = len(self.group.subgroup_closure(key))
+            key = self.canon(raw)
+            n = self._pair_order.get(key)
+            if n is None:
+                n = self._pair_order[key] = len(self.group.subgroup_closure(key))
+            self._raw_pair_order[raw] = n
         return n
+
+    @cached_property
+    def center(self) -> list[int]:
+        return self.group.center_ids()
+
+    def _head(self, x: int) -> tuple[int, list[tuple]]:
+        """class_min(x) and the conjugators h to it, Cent(min) * transporter,
+        one per coset of the center (h and hz conjugate alike), as pairs
+        (row, h^-1): row is the table row of h, so h y h^-1 is
+        tab[row[y]][h^-1], or h itself when the group has no table."""
+        g = self.group
+        tab, inv, mul = g.mul_table, g.inv, g.mul
+        m = self.class_min(x)
+        t = self._transporter[x]
+        hs = [mul(z, t) for z in self._cent_of_min[m]]
+        central = [z for z in self.center if z != g.identity_id]
+        head = self._heads[x] = (
+            m,
+            [
+                (h if tab is None else tab[h], inv[h])
+                for h in hs
+                if all(h <= mul(h, z) for z in central)
+            ],
+        )
+        return head
 
     def canon(self, ids: Sequence[int]) -> tuple[int, ...]:
         """Lexicographic minimum of h * ids * h^-1 over all h in the group."""
+        return next(self.canon_many((ids,)))
+
+    def canon_many(
+        self, tuples: Iterable[Sequence[int]]
+    ) -> Iterator[tuple[int, ...]]:
+        """canon of each tuple, in one loop, yielded as the tuples are read,
+        so that neither the inputs nor the forms need be held at once.
+
+        The first entry x leaves h free in the conjugators to class_min(x).
+        The second entry picks the h giving its least image, and the rest
+        are conjugated by that h.  Only when several h tie there is the
+        stagewise minimum carried on to the next entry.
+        """
         g = self.group
-        cands = self.conjugators_to_min(ids[0])
-        out = [self.class_min(ids[0])]
-        for x in ids[1:]:
-            best = None
-            keep: list[int] = []
-            for h in cands:
-                v = g.conj(x, h)
-                if best is None or v < best:
-                    best = v
-                    keep = [h]
-                elif v == best:
-                    keep.append(h)
-            out.append(best)
-            cands = keep
-        return tuple(out)
+        tab, conj = g.mul_table, g.conj
+        heads, top = self._heads, g.order
+        for ids in tuples:
+            self.canonicalized += 1
+            m, keep = heads.get(ids[0]) or self._head(ids[0])
+            t = [m]
+            chosen = keep[0]
+            k = 1
+            for y in ids[1:]:
+                k += 1
+                best = top
+                tied = False
+                for pair in keep:
+                    row, hi = pair
+                    v = conj(y, row) if tab is None else tab[row[y]][hi]
+                    if v < best:
+                        best = v
+                        chosen = pair
+                        tied = False
+                    elif v == best:
+                        tied = True
+                t.append(best)
+                if not tied:
+                    break
+                keep = [
+                    (row, hi)
+                    for row, hi in keep
+                    if best == (conj(y, row) if tab is None else tab[row[y]][hi])
+                ]
+            row, hi = chosen
+            for y in ids[k:]:
+                t.append(conj(y, row) if tab is None else tab[row[y]][hi])
+            yield tuple(t)
 
 
 def canonical_context(group: FiniteGroup) -> CanonicalContext:
@@ -356,7 +411,7 @@ def nielsen_inner_classes(
     if C.r < 3:
         raise ConfigError("Nielsen classes need r >= 3")
     ctx = canonical_context(group)
-    z = len(group.center_ids())
+    z = len(ctx.center)
     orbit_size = group.order // z
     if below is not None:
         lifts = _frattini_lifts(group, C, *below)
@@ -397,22 +452,34 @@ def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) 
     Every class has such a T, and a lift of a generating tuple through a
     Frattini cover generates, so nothing is tested.  The p' lifts of t1 in
     its class are conjugate under ker psi (Schur-Zassenhaus), which fixes
-    psi(T), so T1 is one fixed lift; the last entry is forced.
+    psi(T), so T1 is one fixed lift; the last entry is forced.  Products
+    are read off table rows.
     """
     ctx = canonical_context(group)
+    tab, mul, inv = group.mul_table, group.mul, group.inv
     members = {x for cls, _ in C.entries for x in cls.member_ids}
     fiber: dict[int, list[int]] = {}
     for x in sorted(members):
         fiber.setdefault(psi.full_map[x], []).append(x)
-    out = set()
-    for t in lower:
-        first = fiber[t[0]][0]
-        for mid in product(*(fiber[x] for x in t[1:-1])):
-            last = group.inv[group.word((first, *mid))]
-            # psi(last) = t[-1], so last is in the matched class iff in C
-            if last in members:
-                out.add(ctx.canon((first, *mid, last)))
-    return out
+
+    def candidates():
+        for t in lower:
+            first = fiber[t[0]][0]
+            # (lifted prefix, its product)
+            prefixes = [((first,), first)]
+            for x in t[1:-1]:
+                prefixes = [
+                    (pre + (y,), mul(p, y) if tab is None else tab[p][y])
+                    for pre, p in prefixes
+                    for y in fiber[x]
+                ]
+            for pre, p in prefixes:
+                # psi(last) = t[-1], so last is in the matched class iff in C
+                last = inv[p]
+                if last in members:
+                    yield pre + (last,)
+
+    return set(ctx.canon_many(candidates()))
 
 
 def absolute_classes(

@@ -274,42 +274,57 @@ def test_cusp_hm_flags_match_q2_definition(spec, classes, p):
             )
 
 
-def test_reduction_and_orbits_canonicalize_a_bounded_number_of_times(monkeypatch):
+@pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
+def test_pair_orders_canonicalize_each_raw_pair_once(monkeypatch, spec, classes, p):
+    # the memo on the raw sorted pair sits in front of the canonical one, so
+    # typing every cusp canonicalizes one pair per distinct raw pair
+    from nielsen_forge.cusps import classify_cusp
+    from nielsen_forge.nielsen import CanonicalContext, canonical_context
+
+    G, orbits = _case_orbits(spec, classes)
+    ctx = canonical_context(G)
+    asked = []
+    pair_order = CanonicalContext.pair_order
+
+    def recorded(self, x, y):
+        asked.append((min(x, y), max(x, y)))
+        return pair_order(self, x, y)
+
+    monkeypatch.setattr(CanonicalContext, "pair_order", recorded)
+    before = ctx.canonicalized
+    for o in orbits:
+        for cusp in cusp_orbits(o):
+            classify_cusp(cusp, p)
+    assert ctx.canonicalized - before == len(set(asked))
+
+
+def test_reduction_and_orbits_canonicalize_a_bounded_number_of_times():
     # one Q'' closure per inner class and one canonicalization per braid
-    # move: at most 8 canon calls per inner class, whatever the level
-    from nielsen_forge.nielsen import CanonicalContext
+    # move: at most 8 canonicalized tuples per inner class, whatever the level
+    from nielsen_forge.nielsen import canonical_context
 
     D25 = dihedral(25)
     inv = [c for c in D25.conjugacy_classes() if c.element_order == 2][0]
     inner = nielsen_inner_classes(D25, ClassMultiset([(inv, 4)]))
-    calls = []
-    canon = CanonicalContext.canon
-
-    def counted(ctx, ids):
-        calls.append(1)
-        return canon(ctx, ids)
-
-    monkeypatch.setattr(CanonicalContext, "canon", counted)
+    ctx = canonical_context(D25)
+    before = ctx.canonicalized
     orbits = braid_orbits(reduced_classes(inner))
     assert [o.size for o in orbits] == [len(inner)]
-    assert len(calls) <= 8 * len(inner)
+    assert ctx.canonicalized - before <= 8 * len(inner)
 
 
-def test_reduction_and_orbits_canonicalize_twice_per_inner_class(monkeypatch):
-    # sh and q2 are tabled with one canon call each; Q'' and the gamma
+def test_reduction_and_orbits_canonicalize_twice_per_inner_class():
+    # sh and q2 are tabled with one canonicalization each; Q'' and the gamma
     # arrays are read off that table
-    from nielsen_forge.nielsen import CanonicalContext
+    from nielsen_forge.nielsen import canonical_context
 
     D25 = dihedral(25)
     inv = [c for c in D25.conjugacy_classes() if c.element_order == 2][0]
     inner = nielsen_inner_classes(D25, ClassMultiset([(inv, 4)]))
-    calls = []
-    canon = CanonicalContext.canon
-    monkeypatch.setattr(
-        CanonicalContext, "canon", lambda ctx, ids: calls.append(1) or canon(ctx, ids)
-    )
+    ctx = canonical_context(D25)
+    before = ctx.canonicalized
     braid_orbits(reduced_classes(inner))
-    assert len(calls) == 2 * len(inner)
+    assert ctx.canonicalized - before == 2 * len(inner)
 
 
 def test_braid_table_escape_raises_typed_error():
@@ -320,8 +335,8 @@ def test_braid_table_escape_raises_typed_error():
     by_canon = {c.canonical: c for c in inner}
     leaving = [
         r
-        for r in reduced_classes(inner)
-        if not {r.q2_image, r.sh_image} <= set(r.inner_canonicals)
+        for i, r in enumerate(reduced_classes(inner))
+        if {r.q2_target, r.sh_target} != {i}
     ]
     assert leaving
     with pytest.raises(ClassListEscape) as err:

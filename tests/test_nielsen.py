@@ -394,3 +394,72 @@ def test_product_one_candidates_match_class_algebra(spec, classes):
     for pattern in _patterns(C):
         found = _product_one_candidates(G, pattern, pattern[0].member_ids)
         assert len(set(found)) == len(found) == _class_algebra_count(G, pattern)
+
+
+def _kernel_oracle_inputs(G, entries, seed):
+    """All product-one 4-tuples over the given entries, plus random pairs and
+    3-tuples over the whole group."""
+    import random
+
+    members = set(entries)
+    out = [
+        (a, b, c, G.inv[G.word((a, b, c))])
+        for a in entries
+        for b in entries
+        for c in entries
+        if G.inv[G.word((a, b, c))] in members
+    ]
+    rnd = random.Random(seed)
+    for r in (2, 3):
+        out += [tuple(rnd.randrange(G.order) for _ in range(r)) for _ in range(300)]
+    return out
+
+
+def _brute_force_canon(G, tuples):
+    maps = [[G.conj(x, h) for x in range(G.order)] for h in range(G.order)]
+    return [min(tuple(map(m.__getitem__, t)) for m in maps) for t in tuples]
+
+
+# entries of the 4-tuples: D and V2xPM their involutions, A(5) its 3-cycles,
+# SL23 and Heis(3) (centers of order 2 and 3) every non-central element
+KERNEL_CASES = [
+    ("D(9)", lambda G, o: o == 2),
+    ("D(25)", lambda G, o: o == 2),
+    ("A(5)", lambda G, o: o == 3),
+    ("SL23", lambda G, o: o > 2),
+    ("V2xPM(5)", lambda G, o: o == 2),
+    ("Heis(3)", lambda G, o: True),
+]
+
+
+@pytest.mark.parametrize("spec, pick", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_canon_many_matches_brute_force_minimum(spec, pick):
+    # the kernel picks h by the second entry and carries the stagewise
+    # minimum on only when several h tie there; the oracle conjugates by
+    # every h in G and takes the lexicographic minimum
+    G, _ = group_from_string(spec)
+    center = set(G.center_ids())
+    orders = G.element_orders
+    entries = [x for x in range(G.order) if x not in center and pick(G, orders[x])]
+    tuples = _kernel_oracle_inputs(G, entries, seed=len(spec))
+    ctx = canonical_context(G)
+    before = ctx.canonicalized
+    assert list(ctx.canon_many(tuples)) == _brute_force_canon(G, tuples)
+    assert ctx.canonicalized - before == len(tuples)
+    assert [ctx.canon(t) for t in tuples[::97]] == _brute_force_canon(G, tuples[::97])
+
+
+def test_canon_many_matches_brute_force_minimum_without_the_table(monkeypatch):
+    import nielsen_forge.groups as groups
+
+    monkeypatch.setattr(groups, "MUL_TABLE_MAX", 0)
+    untabled = dihedral(25)
+    assert untabled.mul_table is None
+    monkeypatch.undo()
+    tabled = dihedral(25)
+    assert tabled.elements == untabled.elements
+    entries = [x for x in range(tabled.order) if tabled.element_orders[x] == 2]
+    tuples = _kernel_oracle_inputs(tabled, entries, seed=25)
+    assert list(canonical_context(untabled).canon_many(tuples)) == _brute_force_canon(
+        tabled, tuples
+    )

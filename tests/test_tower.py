@@ -7,7 +7,7 @@ from nielsen_forge.braid import braid_orbits, reduced_classes
 from nielsen_forge.config import parse_class_selector
 from nielsen_forge.errors import ConfigError, NotPGroupKernel
 from nielsen_forge.lifting import is_frattini_cover
-from nielsen_forge.nielsen import CanonicalContext, ClassMultiset, nielsen_inner_classes
+from nielsen_forge.nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
 from nielsen_forge.presets import (
     alternating,
     chain_from_specs,
@@ -173,17 +173,12 @@ def test_frattini_lift_matches_direct_enumeration(specs, classes, p):
 
 
 @pytest.mark.parametrize("classes", ["2:4", "2:2,2:2"])
-def test_frattini_lift_canonicalizes_once_per_candidate(classes, monkeypatch):
+def test_frattini_lift_canonicalizes_once_per_candidate(classes):
     # the candidates over t: T1 one lift of t1 (any lift gives the same
     # count, the lifts being conjugate under the kernel), T2 and T3 every
     # lift, T4 forced and kept in the class; a class repeated in C must
     # not repeat candidates
     links, Cs = _matched_levels("D(5),D(25),D(125)", classes, 5)
-    calls = []
-    canon = CanonicalContext.canon
-    monkeypatch.setattr(
-        CanonicalContext, "canon", lambda ctx, ids: calls.append(1) or canon(ctx, ids)
-    )
     lower = nielsen_inner_classes(Cs[0].group, Cs[0])
     for lm, C in zip(links, Cs[1:]):
         G, psi = C.group, lm.psi.full_map
@@ -200,9 +195,10 @@ def test_frattini_lift_canonicalizes_once_per_candidate(classes, monkeypatch):
                 for b in lifts(t[1])
                 for c in lifts(t[2])
             )
-        calls.clear()
+        ctx = canonical_context(G)
+        before = ctx.canonicalized
         lifted = nielsen_inner_classes(G, C, (lm.psi, [c.canonical for c in lower]))
-        assert len(calls) == expect
+        assert ctx.canonicalized - before == expect
         assert len({c.canonical for c in lifted}) == len(lifted) == expect
         lower = lifted
 
