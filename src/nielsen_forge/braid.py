@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
 from . import perm as P
@@ -90,15 +89,16 @@ def q2_variants(
 
 @dataclass(slots=True)
 class ReducedClass:
-    """Class under conjugation together with Q'' (r=4 only), with the
-    positions, in the sorted list reduced_classes returns, of the classes
-    holding q2 and sh of its canonical tuple."""
+    """Class under conjugation together with Q'' (r=4 only), with its own
+    position and the positions of the classes holding q2 and sh of its
+    canonical tuple, all in the sorted list reduced_classes returns."""
 
     group: FiniteGroup
     canonical: tuple[int, ...]
     inner_canonicals: tuple[tuple[int, ...], ...]
     size: int
     q2_orbit_length: int
+    position: int
     q2_target: int
     sh_target: int
 
@@ -114,11 +114,10 @@ def _braid_table(
     one canon_many call, and the Q'' generators sh^2 and q1 q3^-1 =
     sh^-1 q2 sh sh q2^-1 sh^-1 (left to right; q1 = sh^-1 q2 sh and
     q3 = sh q2 sh^-1 hold on raw tuples)."""
-    conj = group.conj
     images = canonical_context(group).canon_many(
         chain(
-            ((b, c, d, a) for a, b, c, d in keys),  # _shift_ids
-            ((a, conj(c, b), b, d) for a, b, c, d in keys),  # _twist at q2
+            (_shift_ids(t) for t in keys),
+            (_twist(group, t, 1, +1) for t in keys),
         )
     )
     index = {t: i for i, t in enumerate(keys)}
@@ -146,7 +145,7 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
     group = inner[0].group
     if len(inner[0].canonical) != 4:
         raise RankNotFour("reduced classes are defined for r = 4 only")
-    inner = sorted(inner, key=attrgetter("canonical"))
+    inner = sorted(inner, key=lambda c: c.canonical)
     keys = [c.canonical for c in inner]
     sh, q2, sh2, q13inv = _braid_table(group, keys)
     orbits = partition_orbits(range(len(keys)), (sh2, q13inv))
@@ -156,20 +155,16 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
         for j in m:
             reduced_of[j] = r
     out = []
-    for m in orbits:
+    for r, m in enumerate(orbits):
         a = m[0]
-        if len(m) == 1:
-            members, size = (keys[a],), sizes[a]
-        else:
-            members = tuple(map(keys.__getitem__, m))
-            size = sum(map(sizes.__getitem__, m))
         out.append(
             ReducedClass(
                 group,
                 keys[a],
-                members,
-                size,
+                tuple(map(keys.__getitem__, m)),
+                sum(map(sizes.__getitem__, m)),
                 len(m),
+                r,
                 reduced_of[q2[a]],
                 reduced_of[sh[a]],
             )
@@ -198,7 +193,7 @@ class BraidOrbit:
     ):
         self.group = group
         self.classes = tuple(classes)
-        self.members = tuple(map(attrgetter("canonical"), self.classes))
+        self.members = tuple(c.canonical for c in self.classes)
         self.gamma_inf: Perm = tuple(gamma_inf)
         self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
@@ -226,15 +221,17 @@ def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     if len(reduced[0].canonical) != 4:
         raise RankNotFour("braid orbits on reduced classes need r = 4")
     escape = ClassListEscape("braid action left the reduced class list")
-    # the targets are positions in the sorted list reduced_classes returned
-    canonicals = [c.canonical for c in reduced]
-    if canonicals != sorted(canonicals):
+    # the targets are positions in the list reduced_classes returned, so
+    # every class must still sit at its own position there
+    if any(c.position != i for i, c in enumerate(reduced)):
         raise escape
     gamma_inf = [c.q2_target for c in reduced]
     gamma_1 = [c.sh_target for c in reduced]
     local = [0] * len(reduced)
     orbits = []
-    for members in partition_orbits(range(len(reduced)), (gamma_inf, gamma_1), escape):
+    for members in partition_orbits(
+        range(len(reduced)), (gamma_inf, gamma_1), escape
+    ):
         for j, g in enumerate(members):
             local[g] = j
         orbits.append(
@@ -256,7 +253,7 @@ class H3Orbit:
     def __init__(self, group: FiniteGroup, classes: Sequence[InnerClass]):
         self.group = group
         self.classes = tuple(sorted(classes, key=lambda c: c.canonical))
-        self.members = tuple(map(attrgetter("canonical"), self.classes))
+        self.members = tuple(c.canonical for c in self.classes)
 
     @property
     def size(self) -> int:

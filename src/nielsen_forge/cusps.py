@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from math import lcm
-from operator import eq
 
 from . import perm as P
 from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_of, cusp_orbits
@@ -134,20 +133,18 @@ class CuspType:
         return f"{self.kind} (mp={self.mp}){tail}"
 
 
-def _is_hm(inv, cls: ReducedClass) -> bool:
-    """Some inner class in the reduced class has the H-M shape (g, g^-1, h, h^-1);
-    inv is the group's inverse table."""
-    for a, b, c, d in cls.inner_canonicals:
-        if b == inv[a] and d == inv[c]:
-            return True
-    return False
+def _is_hm(group, cls: ReducedClass) -> bool:
+    """Some inner class in the reduced class has the H-M shape (g, g^-1, h, h^-1)."""
+    inv = group.inv
+    return any(
+        t[1] == inv[t[0]] and t[3] == inv[t[2]] for t in cls.inner_canonicals
+    )
 
 
 def _hm_flags(orbit: BraidOrbit) -> list[bool]:
     """_is_hm of each class of the orbit, computed once and kept on it."""
     if orbit._hm is None:
-        inv = orbit.group.inv
-        orbit._hm = [_is_hm(inv, c) for c in orbit.classes]
+        orbit._hm = [_is_hm(orbit.group, c) for c in orbit.classes]
     return orbit._hm
 
 
@@ -164,9 +161,11 @@ def classify_cusp(
     hm = _hm_flags(orbit)
     kinds = set()
     mps = set()
-    mul = group.mul
-    for g1, g2, g3, g4 in cusp.member_canonicals:
-        mp = orders[mul(g2, g3)]
+    is_hm = False
+    is_shift = False
+    for i, ids in zip(cusp.member_indices, cusp.member_canonicals):
+        g1, g2, g3, g4 = ids
+        mp = orders[group.mul(g2, g3)]
         mps.add(mp)
         if mp % p == 0:
             kinds.add(P_CUSP)
@@ -177,10 +176,8 @@ def classify_cusp(
             kinds.add(G_PRIME)
         else:
             kinds.add(O_PRIME)
-    is_hm = any(map(hm.__getitem__, cusp.member_indices))
-    is_shift = any(
-        map(hm.__getitem__, map(orbit.gamma_1.__getitem__, cusp.member_indices))
-    )
+        is_hm = is_hm or hm[i]
+        is_shift = is_shift or hm[orbit.gamma_1[i]]
     if len(kinds) != 1:
         raise InconsistentType(
             f"cusp members disagree on the type: {sorted(kinds)}"
@@ -284,8 +281,8 @@ def genus(orbit: BraidOrbit) -> GenusData:
     g = num // 2
     if g < 0:
         raise NegativeGenus(f"computed genus {g} < 0")
-    fixed_free = not any(map(eq, orbit.gamma_0, range(deg))) and not any(
-        map(eq, orbit.gamma_1, range(deg))
+    fixed_free = all(orbit.gamma_0[i] != i for i in range(deg)) and all(
+        orbit.gamma_1[i] != i for i in range(deg)
     )
     return GenusData(
         deg,

@@ -186,11 +186,19 @@ def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list]
     The moves must act by permutations, so that orbits are disjoint: the
     sorted keys are visited once and one set marks every point reached.
     For integer keys range(n), moves is a sequence of index arrays (move k
-    sends i to moves[k][i]), walked with a bytearray mark instead.
+    sends i to moves[k][i]), walked with a bytearray mark instead.  An
+    image outside the keys raises escape, or ValueError when none is given.
     """
+    if escape is None:
+        escape = ValueError("an orbit left the keys")
     if isinstance(keys, range):
         n = len(keys)
-        if any(min(a, default=0) < 0 or max(a, default=0) >= n for a in moves):
+        if keys.start != 0 or keys.step != 1:
+            raise ValueError(f"integer keys must be range(n), got {keys!r}")
+        if any(
+            len(a) != n or min(a, default=0) < 0 or max(a, default=0) >= n
+            for a in moves
+        ):
             raise escape
         mark = bytearray(n)
         out = []

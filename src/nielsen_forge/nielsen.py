@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -398,9 +399,10 @@ def nielsen_inner_classes(
     under Stab(b) = Cent(m) & Cent(b).  When |Stab(b)| = |Cent(m)| / |orbit|
     equals |Z(G)|, Stab(b) is the center, which fixes every tuple, so each
     tuple is its own lexicographic minimum and is not canonicalized; the
-    other candidates are.  Deduplicating by canonical form gives the same
-    classes as ``inner_classes(enumerate_nielsen(...))``, and generation is
-    tested once per form.  A generating tuple is fixed under conjugation
+    other candidates of a pattern go through one canon_many pass.
+    Deduplicating by canonical form gives the same classes as
+    ``inner_classes(enumerate_nielsen(...))``, and generation is tested
+    once per form.  A generating tuple is fixed under conjugation
     exactly by the center, so every class has orbit size |G| / |Z(G)|.
 
     ``below = (psi, lower canonicals)`` lifts them instead through psi, a
@@ -431,8 +433,14 @@ def nielsen_inner_classes(
         reps = ctx.centralizer_orbits(m, pattern[1])
         free = {b for b, stab in reps if stab == z}
         seconds = [b for b, _ in reps]
-        for ids in _product_one_candidates(group, pattern, (m,), seconds):
-            canon = ids if ids[1] in free else ctx.canon(ids)
+        cands = _product_one_candidates(group, pattern, (m,), seconds)
+        fixed = [ids for ids in cands if ids[1] in free]
+        moved = [ids for ids in cands if ids[1] not in free]
+        # a form keeps its candidate's second entry, the least of its
+        # Cent(m)-orbit, so no form comes from both lists and each form
+        # still meets first the same raw tuple as in one pass
+        forms = chain(zip(fixed, fixed), zip(moved, ctx.canon_many(moved)))
+        for ids, canon in forms:
             if canon not in verdict:
                 # a tuple generates if one pair (m, x) does; the pair
                 # closures are few and shared, so the full test is last

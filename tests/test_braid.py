@@ -335,12 +335,39 @@ def test_braid_table_escape_raises_typed_error():
     by_canon = {c.canonical: c for c in inner}
     leaving = [
         r
-        for i, r in enumerate(reduced_classes(inner))
-        if {r.q2_target, r.sh_target} != {i}
+        for r in reduced_classes(inner)
+        if {r.q2_target, r.sh_target} != {r.position}
     ]
     assert leaving
     with pytest.raises(ClassListEscape) as err:
         reduced_classes([by_canon[t] for t in leaving[0].inner_canonicals])
+    assert err.value.code == 25
+
+
+def test_braid_orbits_escape_when_a_class_is_removed_from_the_middle():
+    # the targets are positions in the list reduced_classes returned, so a
+    # list with a class taken out raises, even where it stays sorted and
+    # every target stays in range
+    from dataclasses import replace
+
+    from nielsen_forge.errors import ClassListEscape
+
+    _, _, inner = _a4_setup()
+    reduced = reduced_classes(inner)
+    for j in range(1, len(reduced) - 1):
+        with pytest.raises(ClassListEscape):
+            braid_orbits(reduced[:j] + reduced[j + 1 :])
+    # class 0 fixed by q2 and sh, which swap classes 1 and 2: without
+    # class 1, class 2 sits at position 1 and its targets still read 1
+    a, b, c = reduced[:3]
+    rewired = [
+        replace(a, q2_target=0, sh_target=0),
+        replace(b, q2_target=2, sh_target=2),
+        replace(c, q2_target=1, sh_target=1),
+    ]
+    assert [o.size for o in braid_orbits(rewired)] == [2, 1]
+    with pytest.raises(ClassListEscape) as err:
+        braid_orbits([rewired[0], rewired[2]])
     assert err.value.code == 25
 
 

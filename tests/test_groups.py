@@ -21,6 +21,7 @@ from nielsen_forge.groups import (
     is_p_perfect,
     is_p_power,
     maximal_normal_p_subgroup,
+    partition_orbits,
     perm_group_order,
     quotient,
     reduce_p_center,
@@ -396,3 +397,18 @@ def test_perm_group_order_matches_closure(spec):
         assert perm_group_order(gens, n) == n
         # None exactly when the order passes the cap
         assert perm_group_order(gens, n - 1) is None
+
+
+def test_partition_orbits_on_index_arrays():
+    # keys range(n) take index arrays; an entry outside range(n) raises the
+    # given escape, or ValueError without one, and other ranges are refused
+    sw, cyc = [1, 0, 2, 4, 3], [0, 1, 3, 2, 4]
+    assert partition_orbits(range(5), (sw, cyc)) == [[0, 1], [2, 3, 4]]
+    assert partition_orbits(range(0), ()) == []
+    with pytest.raises(LookupError):
+        partition_orbits(range(5), (sw, [0, 1, 5, 2, 4]), LookupError("escaped"))
+    for bad in ([0, 1, 5, 2, 4], [0, 1, -1, 2, 4], [0, 1, 3, 2]):
+        with pytest.raises(ValueError):
+            partition_orbits(range(5), (sw, bad))
+    with pytest.raises(ValueError):
+        partition_orbits(range(1, 6), ([1, 0, 2, 4, 3],))
