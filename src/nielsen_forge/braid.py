@@ -4,7 +4,8 @@ Generators q_i twist adjacent entries; the reduced quotient additionally
 mods out Q'' = <(q1 q2 q3)^2, q1 q3^-1>, which acts on inner classes as a
 Klein 4-group.  Components are orbits of <gamma_inf, gamma_1> on reduced
 classes, with gamma_inf = q2 and gamma_1 = sh; gamma_0 is derived from the
-product-one relation gamma_0 gamma_1 gamma_inf = 1.
+product-one relation gamma_0 gamma_1 gamma_inf = 1.  Every braid action is
+read off one table of sh and q2 on a level's sorted inner canonicals.
 """
 
 from __future__ import annotations
@@ -14,14 +15,9 @@ from itertools import chain
 from typing import Sequence
 
 from . import perm as P
-from .errors import BraidInvariantBroken, ClassListEscape, RankNotFour
-from .groups import FiniteGroup, orbit_of, partition_orbits
-from .nielsen import (
-    CanonicalContext,
-    InnerClass,
-    NielsenTuple,
-    canonical_context,
-)
+from .errors import BraidInvariantBroken, ClassListEscape, ConfigError, RankNotFour
+from .groups import FiniteGroup, partition_orbits
+from .nielsen import InnerClass, NielsenTuple, canonical_context, check_automorphisms
 from .perm import Perm
 
 # A braid word is a sequence of (i, sign) pairs, i the 1-based twist index.
@@ -68,25 +64,6 @@ def _shift_ids(ids: tuple[int, ...]) -> tuple[int, ...]:
     return ids[1:] + ids[:1]
 
 
-def _q13inv_ids(group: FiniteGroup, ids: tuple[int, ...]) -> tuple[int, ...]:
-    return _twist(group, _twist(group, ids, 0, +1), 2, -1)
-
-
-def _q2_moves(group: FiniteGroup, ctx: CanonicalContext):
-    """Generators of Q'' on inner canonicals: sh^2 and q1 q3^-1."""
-    return lambda t: (
-        ctx.canon(_shift_ids(_shift_ids(t))),
-        ctx.canon(_q13inv_ids(group, t)),
-    )
-
-
-def q2_variants(
-    group: FiniteGroup, ctx: CanonicalContext, canon: tuple[int, ...]
-) -> frozenset[tuple[int, ...]]:
-    """Inner canonicals of the Q''-orbit through the given inner class."""
-    return frozenset(orbit_of(canon, _q2_moves(group, ctx)))
-
-
 @dataclass(slots=True)
 class ReducedClass:
     """Class under conjugation together with Q'' (r=4 only), with its own
@@ -109,11 +86,9 @@ class ReducedClass:
 
 def _braid_table(
     group: FiniteGroup, keys: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """sh and q2 on the sorted inner canonicals, all images canonicalized in
-    one canon_many call, and the Q'' generators sh^2 and q1 q3^-1 =
-    sh^-1 q2 sh sh q2^-1 sh^-1 (left to right; q1 = sh^-1 q2 sh and
-    q3 = sh q2 sh^-1 hold on raw tuples)."""
+) -> tuple[list[int], list[int]]:
+    """sh and q2 on the sorted inner canonicals of any rank r >= 3, as
+    position arrays, all images canonicalized in one canon_many call."""
     images = canonical_context(group).canon_many(
         chain(
             (_shift_ids(t) for t in keys),
@@ -128,14 +103,19 @@ def _braid_table(
             "braid action left the supplied inner class list"
         ) from None
     n = len(keys)
-    sh, q2 = moved[:n], moved[n:]
+    return moved[:n], moved[n:]
+
+
+def _q2_generators(sh: list[int], q2: list[int]) -> tuple[list[int], list[int]]:
+    """The Q'' generators sh^2 and q1 q3^-1 = sh^-1 q2 sh sh q2^-1 sh^-1 (left
+    to right; q1 = sh^-1 q2 sh and q3 = sh q2 sh^-1 hold on raw tuples) from
+    the r = 4 sh/q2 table."""
+    n = len(sh)
     sh_inv, q2_inv = [0] * n, [0] * n
     for i in range(n):
         sh_inv[sh[i]] = i
         q2_inv[q2[i]] = i
-    sh2 = [sh[j] for j in sh]
-    q13inv = [sh_inv[q2_inv[sh[sh[q2[j]]]]] for j in sh_inv]
-    return sh, q2, sh2, q13inv
+    return [sh[j] for j in sh], [sh_inv[q2_inv[sh[sh[q2[j]]]]] for j in sh_inv]
 
 
 def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
@@ -147,8 +127,8 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
         raise RankNotFour("reduced classes are defined for r = 4 only")
     inner = sorted(inner, key=lambda c: c.canonical)
     keys = [c.canonical for c in inner]
-    sh, q2, sh2, q13inv = _braid_table(group, keys)
-    orbits = partition_orbits(range(len(keys)), (sh2, q13inv))
+    sh, q2 = _braid_table(group, keys)
+    orbits = partition_orbits(range(len(keys)), _q2_generators(sh, q2))
     sizes = [c.orbit_size for c in inner]
     reduced_of = [0] * len(keys)
     for r, m in enumerate(orbits):
@@ -170,12 +150,6 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
             )
         )
     return out
-
-
-def reduced_canonical(
-    group: FiniteGroup, ctx: CanonicalContext, ids: tuple[int, ...]
-) -> tuple[int, ...]:
-    return min(q2_variants(group, ctx, ctx.canon(ids)))
 
 
 class BraidOrbit:
@@ -261,20 +235,18 @@ class H3Orbit:
 
 
 def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[H3Orbit]:
+    """H3 orbits, the orbits of the sh/q2 table: for r = 3, sh = q1 q2 on
+    inner classes, so <sh, q2> = <q1, q2>."""
     if not inner:
         return []
     group = inner[0].group
     if len(inner[0].canonical) != 3:
-        raise ValueError("H3 orbit mode needs r = 3")
-    ctx = canonical_context(group)
-    by_canon = {c.canonical: c for c in inner}
+        raise ConfigError("H3 orbit mode needs r = 3")
+    inner = sorted(inner, key=lambda c: c.canonical)
+    table = _braid_table(group, [c.canonical for c in inner])
     orbits = [
-        H3Orbit(group, [by_canon[t] for t in members])
-        for members in partition_orbits(
-            by_canon,
-            lambda t: (ctx.canon(_twist(group, t, pos, +1)) for pos in (0, 1)),
-            ClassListEscape("braid action left the inner class list"),
-        )
+        H3Orbit(group, [inner[j] for j in members])
+        for members in partition_orbits(range(len(inner)), table)
     ]
     orbits.sort(key=lambda o: -o.size)
     return orbits
@@ -283,21 +255,31 @@ def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[H3Orbit]:
 def absolute_reduced_classes(
     reduced: Sequence[ReducedClass], autos
 ) -> list[list[ReducedClass]]:
-    """Merge reduced classes under entrywise automorphisms (absolute-reduced)."""
+    """Merge reduced classes under entrywise automorphisms (absolute-reduced).
+
+    Each map must be an automorphism preserving the class multiset of the
+    tuples, as for absolute_classes; the image of each class is found by
+    its canonical inner class.
+    """
     if not reduced:
         return []
     group = reduced[0].group
-    ctx = canonical_context(group)
-    by_canon = {c.canonical: c for c in reduced}
+    reduced = sorted(reduced, key=lambda c: c.canonical)
+    keys = [c.canonical for c in reduced]
+    check_automorphisms(group, autos, keys)
+    position = {t: r for r, c in enumerate(reduced) for t in c.inner_canonicals}
+    images = canonical_context(group).canon_many(
+        tuple(map(a.apply_id, t)) for a in autos for t in keys
+    )
+    try:
+        moved = list(map(position.__getitem__, images))
+    except KeyError:
+        raise ClassListEscape("automorphism left the reduced class list") from None
+    n = len(keys)
     return [
-        [by_canon[t] for t in members]
+        [reduced[r] for r in members]
         for members in partition_orbits(
-            by_canon,
-            lambda t: (
-                reduced_canonical(group, ctx, tuple(a.apply_id(x) for x in t))
-                for a in autos
-            ),
-            ClassListEscape("automorphism left the reduced class list"),
+            range(n), [moved[k : k + n] for k in range(0, len(moved), n)]
         )
     ]
 

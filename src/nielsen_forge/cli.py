@@ -45,7 +45,9 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
     common.add_argument("--prime", type=int, help="the prime p")
     common.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
-    common.add_argument("--r3", action="store_true", help="H3 orbit mode for r = 3")
+    common.add_argument(
+        "--r3", action="store_true", help="check that r = 3 (r = 3 gives H3 orbits)"
+    )
     common.add_argument("--format", dest="fmt", help="md, json, or csv")
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--cap", type=int, help="group-order closure cap")
@@ -134,9 +136,7 @@ def _pipeline(cfg: RunConfig):
             )
         group = extension.G
     C = parse_class_selector(group, cfg.classes)
-    if cfg.r3 and C.r != 3:
-        raise ConfigError(f"--r3 needs r = 3 classes, got r = {C.r}")
-    return run_pipeline(group, C, cfg.prime, extension)
+    return run_pipeline(group, C, cfg.prime, extension, r3=cfg.r3)
 
 
 def _focused_markdown(command: str, result) -> str:

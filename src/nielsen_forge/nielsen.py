@@ -490,6 +490,26 @@ def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) 
     return set(ctx.canon_many(candidates()))
 
 
+def check_automorphisms(
+    group: FiniteGroup, autos: Sequence[GroupHom], tuples: Iterable[tuple[int, ...]]
+) -> None:
+    """Raise unless each map is an automorphism of group that fixes the class
+    multiset of every tuple (it may permute the classes among themselves)."""
+    for a in autos:
+        if a.source is not group or a.target is not group:
+            raise NotAnAutomorphism("automorphisms must map the group to itself")
+        if not (a.is_surjective and a.is_injective):
+            raise NotAnAutomorphism("map is not bijective")
+    ctx = canonical_context(group)
+    for t in tuples:
+        before = sorted(map(ctx.class_min, t))
+        for a in autos:
+            if sorted(ctx.class_min(a.apply_id(x)) for x in t) != before:
+                raise ClassNotPreserved(
+                    "automorphism does not preserve the class multiset"
+                )
+
+
 def absolute_classes(
     classes: Sequence[InnerClass], autos: Sequence[GroupHom]
 ) -> list[list[InnerClass]]:
@@ -502,24 +522,8 @@ def absolute_classes(
     if not classes:
         return []
     group = classes[0].group
-    for a in autos:
-        if a.source is not group or a.target is not group:
-            raise NotAnAutomorphism("automorphisms must map the group to itself")
-        if not (a.is_surjective and a.is_injective):
-            raise NotAnAutomorphism("map is not bijective")
+    check_automorphisms(group, autos, [cls.canonical for cls in classes])
     ctx = canonical_context(group)
-    # each map must fix the class multiset of every tuple (it may permute
-    # the classes among themselves)
-    for a in autos:
-        for cls in classes:
-            before = sorted(ctx.class_min(x) for x in cls.canonical)
-            after = sorted(
-                ctx.class_min(a.apply_id(x)) for x in cls.canonical
-            )
-            if before != after:
-                raise ClassNotPreserved(
-                    "automorphism does not preserve the class multiset"
-                )
     by_canon = {cls.canonical: cls for cls in classes}
     return [
         [by_canon[t] for t in members]

@@ -38,9 +38,14 @@ def run_pipeline(
     *,
     r3: bool = False,
 ) -> PipelineResult:
-    """enumerate -> reduce -> orbits -> cusps -> genus -> classify -> screen."""
+    """enumerate -> reduce -> orbits -> cusps -> genus -> classify -> screen.
+
+    r = 3 classes give H3 orbits instead; r3=True only checks that r = 3.
+    """
+    if r3 and C.r != 3:
+        raise ConfigError(f"--r3 needs r = 3 classes, got r = {C.r}")
     inner = nielsen_inner_classes(group, C)
-    if r3 or C.r == 3:
+    if C.r == 3:
         orbits = braid_orbits_r3(inner)
         lifts = None
         if extension is not None:

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-from .braid import (
-    BraidOrbit,
-    braid_orbits,
-    cusp_of,
-    cusp_orbits,
-    reduced_canonical,
-    reduced_classes,
-)
+from .braid import BraidOrbit, braid_orbits, cusp_of, cusp_orbits, reduced_classes
 from .cusps import ComponentDossier, component_dossier
 from .errors import ConfigError, MultiplePrimeClasses, NotPGroupKernel
 from .groups import FiniteGroup, GroupHom, is_p_power
@@ -104,22 +97,33 @@ def match_classes(level: LevelMap, C: ClassMultiset) -> ClassMultiset:
 def project_reduced(
     level: LevelMap, canonical: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Image of an upstairs reduced class downstairs, re-canonicalized."""
-    down = level.downstairs
-    ids = tuple(level.psi.full_map[x] for x in canonical)
-    return reduced_canonical(down, canonical_context(down), ids)
+    """Inner canonical of the image downstairs of an upstairs class; the
+    downstairs reduced class holding it lists it in inner_canonicals."""
+    ids = tuple(map(level.psi.full_map.__getitem__, canonical))
+    return canonical_context(level.downstairs).canon(ids)
+
+
+def _positions(orbits: Sequence[BraidOrbit]) -> dict[tuple, tuple[int, int]]:
+    """Inner canonical -> (orbit, position in it) of the reduced class
+    holding it."""
+    return {
+        t: (i, j)
+        for i, orb in enumerate(orbits)
+        for j, c in enumerate(orb.classes)
+        for t in c.inner_canonicals
+    }
 
 
 def level_fiber(
     level: LevelMap, upstairs_orbits: Sequence[BraidOrbit], downstairs_orbit: BraidOrbit
 ) -> list[BraidOrbit]:
     """Upstairs braid orbits lying over the given downstairs orbit."""
-    members = set(downstairs_orbit.members)
-    out = []
-    for orb in upstairs_orbits:
-        if project_reduced(level, orb.members[0]) in members:
-            out.append(orb)
-    return out
+    below = _positions([downstairs_orbit])
+    return [
+        orb
+        for orb in upstairs_orbits
+        if project_reduced(level, orb.members[0]) in below
+    ]
 
 
 @dataclass(frozen=True)
@@ -312,12 +316,7 @@ def build_graph(
     orders = [g.element_orders for g in groups]
     for k, lm in enumerate(chain):
         down, up = levels[k], levels[k + 1]
-        # reduced canonical -> (orbit, position) downstairs
-        down_at = {
-            t: (i, j)
-            for i, orb in enumerate(down.orbits)
-            for j, t in enumerate(orb.members)
-        }
+        down_at = _positions(down.orbits)
         down_cusp_of = [cusp_of(orb) for orb in down.orbits]
         covered_components = set()
         covered_cusps = set()
@@ -327,8 +326,8 @@ def build_graph(
             covered_components.add(di)
             for uj, ucusp in enumerate(cusp_orbits(uorb)):
                 up_rep = ucusp.member_canonicals[0]
-                down_rep = project_reduced(lm, up_rep)
-                i, j = down_at[down_rep]
+                i, j = down_at[project_reduced(lm, up_rep)]
+                down_rep = down.orbits[i].members[j]
                 dcusp = (i, down_cusp_of[i][j])
                 graph.cusp_edges.append((k, (ui, uj), dcusp))
                 covered_cusps.add(dcusp)

@@ -220,7 +220,8 @@ def _case_orbits(spec, classes):
 
 @pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
 def test_braid_table_matches_per_move_canonicals(spec, classes, p):
-    from nielsen_forge.braid import _shift_ids, _twist, reduced_canonical
+    from nielsen_forge.braid import _shift_ids, _twist
+    from per_move import reduced_canonical
     from nielsen_forge.nielsen import canonical_context
 
     G, orbits = _case_orbits(spec, classes)
@@ -237,21 +238,22 @@ def test_braid_table_matches_per_move_canonicals(spec, classes, p):
 
 @pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
 def test_q2_generators_read_off_the_sh_q2_table_match_direct_moves(spec, classes, p):
-    from nielsen_forge.braid import _braid_table, _q2_moves
+    from nielsen_forge.braid import _braid_table, _q2_generators
     from nielsen_forge.nielsen import canonical_context
+    from per_move import q2_moves
 
     G, inner = _case_inner(spec, classes)
     keys = [c.canonical for c in inner]
-    _, _, sh2, q13inv = _braid_table(G, keys)
-    moves = _q2_moves(G, canonical_context(G))
+    sh2, q13inv = _q2_generators(*_braid_table(G, keys))
+    moves = q2_moves(G, canonical_context(G))
     for i, t in enumerate(keys):
         assert (keys[sh2[i]], keys[q13inv[i]]) == moves(t)
 
 
 @pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
 def test_cusp_hm_flags_match_q2_definition(spec, classes, p):
-    from nielsen_forge.braid import q2_variants
     from nielsen_forge.cusps import classify_cusp
+    from per_move import q2_variants
     from nielsen_forge.nielsen import canonical_context
 
     G, orbits = _case_orbits(spec, classes)
@@ -446,3 +448,71 @@ def test_class_records_are_slotted_values():
     # equality compares the fields, not the objects
     assert nielsen_inner_classes(A4, C) == inner
     assert reduced_classes(inner) == red
+
+
+def _outer_swap(G, degree):
+    # conjugation by (1 2): an automorphism of A(n) outside Inn
+    from nielsen_forge.groups import hom
+
+    return hom(G, G, [P.conjugate(g, P.parse("(1 2)", degree)) for g in G.generators])
+
+
+def test_absolute_reduced_classes_match_the_per_move_images():
+    # on A(5) C(5+^2, 5-^2) the outer swap keeps the class multiset: each
+    # bucket is closed under the image the per-move Q'' walk gives
+    from nielsen_forge.braid import absolute_reduced_classes
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.nielsen import canonical_context
+    from per_move import reduced_canonical
+
+    A5 = alternating(5)
+    swap = _outer_swap(A5, 5)
+    reduced = reduced_classes(
+        nielsen_inner_classes(A5, parse_class_selector(A5, "5+:2,5-:2"))
+    )
+    buckets = absolute_reduced_classes(reduced, [swap])
+    assert (len(reduced), len(buckets)) == (21, 18)
+    ctx = canonical_context(A5)
+    for bucket in buckets:
+        members = {c.canonical for c in bucket}
+        images = {
+            reduced_canonical(A5, ctx, tuple(map(swap.apply_id, t))) for t in members
+        }
+        assert images == members
+
+
+def test_absolute_reduced_classes_validate_the_maps():
+    # the checks absolute_classes makes: a foreign or non-bijective map is
+    # not an automorphism, and a map that moves the class multiset is refused
+    from nielsen_forge.braid import absolute_reduced_classes
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.errors import ClassNotPreserved, NotAnAutomorphism
+    from nielsen_forge.groups import hom
+
+    A4, _, inner = _a4_setup()
+    reduced = reduced_classes(inner)
+    D6 = dihedral(6)
+    foreign = hom(D6, D6, list(D6.generators))
+    trivial = hom(A4, A4, [P.identity(4)] * len(A4.generators))
+    for bad in (foreign, trivial):
+        with pytest.raises(NotAnAutomorphism) as err:
+            absolute_reduced_classes(reduced, [bad])
+        assert err.value.code == 15
+    A5 = alternating(5)
+    movers = reduced_classes(
+        nielsen_inner_classes(A5, parse_class_selector(A5, "5+:2,3:2"))
+    )
+    with pytest.raises(ClassNotPreserved) as err:
+        absolute_reduced_classes(movers, [_outer_swap(A5, 5)])
+    assert err.value.code == 16
+
+
+def test_h3_mode_with_r_other_than_3_is_a_config_error():
+    from nielsen_forge.errors import ConfigError
+    from nielsen_forge.report import run_pipeline
+
+    A4, C, _ = _a4_setup()
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(A4, C, 2, r3=True)
+    assert err.value.code == 2
+    assert str(err.value) == "--r3 needs r = 3 classes, got r = 4"

@@ -169,7 +169,7 @@ def test_screen_dihedral_consistent():
 def test_weigel_candidate_positive_case():
     # the width-1 o-2' cusp of ((3 4 5),(5 4 3 2 1),(2 4 3 5 1),(3 4 5))
     # factors with s23 = s14 = +1, so it is flagged as a Weigel candidate
-    from nielsen_forge.braid import reduced_canonical
+    from per_move import reduced_canonical
     from nielsen_forge.lifting import factor_through_pairs
     from nielsen_forge.nielsen import canonical_context, nielsen_inner_classes
     from nielsen_forge.presets import sl2_cover as _sl2

@@ -4,9 +4,10 @@ It closes raw tuples under conjugation and the braid twists q1, q2, q3,
 and reduces them by Q'' = <(q1 q2 q3)^2, q1 q3^-1>.  It builds no element
 table and takes no canonical forms; its permutation arithmetic is its own.
 The components, degrees, cusp widths and genera it finds must match what
-run_pipeline reports.
+run_pipeline reports, and for r = 3 so must the H3 orbit sizes.
 """
 
+from collections import Counter
 from functools import cache, reduce
 from itertools import permutations, product
 from operator import itemgetter
@@ -100,8 +101,13 @@ def cycle_lengths(perm):
     return out
 
 
-def raw_oracle(gens, reps, max_tuples=MAX_RAW_TUPLES):
-    """(degree, genus, widths) of each component, from raw tuples.
+def conjugates(gens, t):
+    return [tuple(conj(x, g) for x in t) for g in gens]
+
+
+def raw_braid_orbits(gens, reps, max_tuples=MAX_RAW_TUPLES):
+    """The raw product-one tuples in the classes of reps that generate <gens>,
+    and the label of each one's orbit under conjugation and every twist q_i.
 
     reps holds (class representative, multiplicity) pairs.
     """
@@ -116,23 +122,30 @@ def raw_oracle(gens, reps, max_tuples=MAX_RAW_TUPLES):
                 raw.add(head + (last,))
     raw = sorted(raw)
     index = {t: i for i, t in enumerate(raw)}
-
-    def conjugates(t):
-        return [tuple(conj(x, g) for x in t) for g in gens]
-
     # conjugation and the braid group keep the generated subgroup, so one
     # generation test per orbit decides the whole orbit
-    full = blocks(raw, index, lambda t: conjugates(t) + [twist(t, i) for i in range(3)])
+    full = blocks(
+        raw,
+        index,
+        lambda t: conjugates(gens, t) + [twist(t, i) for i in range(len(labels) - 1)],
+    )
     first = {}
     for t, b in zip(raw, full):
         first.setdefault(b, t)
     keep = {b for b, t in first.items() if len(closure(t)) == len(elements)}
     tuples = [t for t, b in zip(raw, full) if b in keep]
-    component = [b for b in full if b in keep]
     assert len(tuples) <= max_tuples
+    return tuples, [b for b in full if b in keep]
+
+
+def raw_oracle(gens, reps, max_tuples=MAX_RAW_TUPLES):
+    """(degree, genus, widths) of each component, from raw tuples (r = 4)."""
+    tuples, component = raw_braid_orbits(gens, reps, max_tuples)
     index = {t: i for i, t in enumerate(tuples)}
     reduced = blocks(
-        tuples, index, lambda t: conjugates(t) + [word(t, *SH, *SH), word(t, (0, 1), (2, -1))]
+        tuples,
+        index,
+        lambda t: conjugates(gens, t) + [word(t, *SH, *SH), word(t, (0, 1), (2, -1))],
     )
 
     def action(*moves):
@@ -188,3 +201,27 @@ def test_pipeline_matches_raw_tuple_oracle(spec, classes, p):
 def test_pipeline_matches_raw_tuple_oracle_v2xz3_5():
     """The last grid entry, opt-in: python -m pytest -m slow tests/test_oracle.py"""
     _check_against_oracle("V2xZ3(5)", "3+:2,3-:2", 5, max_tuples=93600)
+
+
+def raw_h3_orbit_sizes(gens, reps):
+    """Inner classes in each orbit of H3 = <q1, q2>, largest first (r = 3)."""
+    tuples, orbit = raw_braid_orbits(gens, reps)
+    index = {t: i for i, t in enumerate(tuples)}
+    inner = blocks(tuples, index, lambda t: conjugates(gens, t))
+    return sorted(Counter(o for o, _ in set(zip(orbit, inner))).values(), reverse=True)
+
+
+@pytest.mark.parametrize(
+    "spec,classes,sizes",
+    [
+        ("A(5)", "5+:1,5-:1,3:1", [6]),
+        ("A(6)", "(2 3 4 5 6):1,(1 2)(3 4 5 6):2", [6, 3, 3]),
+        ("A(6)", "(2 3 4 5 6):1,(2 3 4 6 5):1,(1 2)(3 4 5 6):1", [6, 6, 6, 6]),
+    ],
+)
+def test_h3_orbits_match_raw_tuple_oracle(spec, classes, sizes):
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    got = sorted((o.size for o in run_pipeline(G, C, 2).h3_orbits), reverse=True)
+    reps = [(cls.representative, m) for cls, m in C.entries]
+    assert got == raw_h3_orbit_sizes(list(G.generators), reps) == sizes

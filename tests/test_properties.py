@@ -143,7 +143,7 @@ def test_gamma_relations_per_orbit(a4_golden):
 def test_gamma0_matches_literal_braid_word(a4_golden):
     # gamma_0 derived from the product-one relation equals the q1 q2 word
     A4, C, _ = a4_golden
-    from nielsen_forge.braid import reduced_canonical
+    from per_move import reduced_canonical
     from nielsen_forge.nielsen import NielsenTuple
 
     ctx = canonical_context(A4)
@@ -157,7 +157,7 @@ def test_gamma0_matches_literal_braid_word(a4_golden):
 
 def test_gamma1_matches_literal_shift_word(a4_golden):
     A4, C, _ = a4_golden
-    from nielsen_forge.braid import reduced_canonical
+    from per_move import reduced_canonical
     from nielsen_forge.nielsen import NielsenTuple
 
     ctx = canonical_context(A4)
@@ -172,7 +172,8 @@ def test_gamma1_matches_literal_shift_word(a4_golden):
 def test_width_partition_same_for_q2_inverse(a4_golden):
     # the open-question check: q2 and q2^-1 give identical cusp partitions
     A4, C, _ = a4_golden
-    from nielsen_forge.braid import _twist, reduced_canonical
+    from nielsen_forge.braid import _twist
+    from per_move import reduced_canonical
 
     ctx = canonical_context(A4)
     orbits = braid_orbits(reduced_classes(nielsen_inner_classes(A4, C)))
