@@ -45,9 +45,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
     common.add_argument("--prime", type=int, help="the prime p")
     common.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
-    common.add_argument(
-        "--r3", action="store_true", help="check that r = 3 (r = 3 gives H3 orbits)"
-    )
+    common.add_argument("--r3", action="store_true", help="check that r = 3")
     common.add_argument("--format", dest="fmt", help="md, json, or csv")
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--cap", type=int, help="group-order closure cap")
