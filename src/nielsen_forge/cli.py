@@ -4,7 +4,7 @@ Subcommands: report, orbits, cusps, shinc, genus, classify, lift, screen,
 tower, frattini, jennings, verify.  A config file supplies defaults via
 'key = value' lines; flags override.  --cap bounds the closures that
 build this run's groups; without it NIELSEN_FORGE_CAP, or the default,
-applies.
+applies.  A cap from any source must be a positive integer.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 from .config import RunConfig, load_config_file, parse_class_selector, require_prime
 from .errors import ConfigError, ForgeError
 from .goldens import KNOWN_DISCREPANCIES, SUITES, run_suite
+from .groups import checked_cap
 from .lifting import is_frattini_cover, jennings_dims
 from .presets import (
     chain_from_specs,
@@ -95,6 +96,8 @@ def _load_config(args) -> RunConfig:
         if getattr(args, "config", None)
         else RunConfig()
     )
+    if getattr(args, "cap", None) is not None:
+        checked_cap(args.cap, "--cap")
     cfg = cfg.merged_with_args(args)
     if cfg.prime:
         cfg.prime = require_prime(cfg.prime, "--prime")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import perm as P
 from .errors import ConfigError
-from .groups import ConjClass, FiniteGroup
+from .groups import ConjClass, FiniteGroup, checked_cap
 from .nielsen import ClassMultiset
 
 
@@ -95,14 +95,12 @@ class RunConfig:
     prime: int = 0
     extension: str = ""
     chain: str = ""
-    suite: str = ""
     fmt: str = "md"
     out: str = ""
     dot: str = ""
     cap: int = 0
     r3: bool = False
     cover: str = ""
-    n: int = 0
 
     def merged_with_args(self, args) -> "RunConfig":
         for name in vars(self):
@@ -112,7 +110,7 @@ class RunConfig:
         return self
 
 
-_INT_KEYS = {"prime", "cap", "n"}
+_INT_KEYS = {"prime", "cap"}
 _BOOL_KEYS = {"r3"}
 
 
@@ -142,6 +140,8 @@ def load_config_file(path: str | Path) -> RunConfig:
                 setattr(cfg, key, int(value))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad integer") from exc
+            if key == "cap":
+                checked_cap(cfg.cap, f"{path}:{lineno}: cap")
         elif key in _BOOL_KEYS:
             setattr(cfg, key, value.lower() in ("1", "true", "yes"))
         else:

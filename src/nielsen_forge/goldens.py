@@ -21,6 +21,7 @@ from .braid import (
     cusp_orbits,
     reduced_classes,
 )
+from .config import parse_class_selector
 from .cusps import (
     classify_cusp,
     component_dossier,
@@ -39,7 +40,6 @@ from .lifting import (
     spin_parity,
 )
 from .nielsen import (
-    ClassMultiset,
     NielsenTuple,
     generates,
     canonical_context,
@@ -74,11 +74,7 @@ def _check(name: str, got, expect) -> Check:
 @lru_cache(maxsize=None)
 def _a4_data():
     A4 = alternating(4)
-    cls3 = sorted(
-        (c for c in A4.conjugacy_classes() if c.element_order == 3),
-        key=lambda c: c.member_ids[0],
-    )
-    C = ClassMultiset([(cls3[0], 2), (cls3[1], 2)])
+    C = parse_class_selector(A4, "3+:2,3-:2")
     inner = nielsen_inner_classes(A4, C)
     reduced = reduced_classes(inner)
     orbits = braid_orbits(reduced)
@@ -92,13 +88,21 @@ def _a4_data():
 @lru_cache(maxsize=None)
 def _a5_c34_data():
     A5 = alternating(5)
-    c3 = [c for c in A5.conjugacy_classes() if c.element_order == 3][0]
-    C = ClassMultiset([(c3, 4)])
+    C = parse_class_selector(A5, "3:4")
     inner = nielsen_inner_classes(A5, C)
     reduced = reduced_classes(inner)
     orbits = braid_orbits(reduced)
     _, ext = sl2_cover(5)
     return A5, C, inner, reduced, orbits, ext
+
+
+@lru_cache(maxsize=None)
+def _a5_c53_data():
+    """A5, the tuples of ni(A5, C+-5,3) (r = 3), and the SL(2,5) extension."""
+    A5 = alternating(5)
+    C = parse_class_selector(A5, "5+:1,5-:1,3:1")
+    _, ext = sl2_cover(5)
+    return A5, tuple(enumerate_nielsen(A5, C)), ext
 
 
 def criterion_1() -> list[Check]:
@@ -201,15 +205,7 @@ def criterion_4() -> list[Check]:
 
 def criterion_5() -> list[Check]:
     """A5, C+-5,3 in H3 mode: one orbit, invariant +1, member genus 1."""
-    A5 = alternating(5)
-    _, ext = sl2_cover(5)
-    c5 = sorted(
-        (c for c in A5.conjugacy_classes() if c.element_order == 5),
-        key=lambda c: c.member_ids[0],
-    )
-    c3 = [c for c in A5.conjugacy_classes() if c.element_order == 3][0]
-    C = ClassMultiset([(c5[0], 1), (c5[1], 1), (c3, 1)])
-    tuples = enumerate_nielsen(A5, C)
+    A5, tuples, ext = _a5_c53_data()
     inner = inner_classes(tuples)
     h3 = braid_orbits_r3(inner)
     out = [_check("c5.one-h3-orbit", len(h3), 1)]
@@ -228,9 +224,7 @@ def criterion_6() -> list[Check]:
     out = []
     for p in (3, 5):
         groups, homs = dihedral_chain(p, 2)
-        base = groups[0]
-        inv = [c for c in base.conjugacy_classes() if c.element_order == 2][0]
-        C = ClassMultiset([(inv, 4)])
+        C = parse_class_selector(groups[0], "2:4")
         chain = [LevelMap(h, p) for h in homs]
         graph = build_graph(chain, C, p)
         for k, lv in enumerate(graph.levels):
@@ -286,8 +280,7 @@ def criterion_7() -> list[Check]:
     ):
         m = p ** (u + 1)
         G = v2_pm(m)
-        inv = [c for c in G.conjugacy_classes() if c.element_order == 2][0]
-        C = ClassMultiset([(inv, 4)])
+        C = parse_class_selector(G, "2:4")
         reduced = reduced_classes(nielsen_inner_classes(G, C))
         orbits = braid_orbits(reduced)
         out.append(
@@ -306,10 +299,7 @@ def criterion_8() -> list[Check]:
     out = []
     for p in (2, 5, 7):
         G = v2_z3(p)
-        c3 = sorted(
-            (c for c in G.conjugacy_classes() if c.element_order == 3),
-            key=lambda c: c.member_ids[0],
-        )
+        c3 = [cls for cls, _ in parse_class_selector(G, "3+:1,3-:1").entries]
         ctx = canonical_context(G)
         target = sorted(
             [c3[0].member_ids[0]] * 2 + [c3[1].member_ids[0]] * 2
@@ -331,11 +321,7 @@ def criterion_8() -> list[Check]:
         out.append(Check(f"c8.p{p}.hm-exists", found))
     # p = 2: the group is A4 in disguise; the level-0 numbers must agree.
     G2 = v2_z3(2)
-    c3 = sorted(
-        (c for c in G2.conjugacy_classes() if c.element_order == 3),
-        key=lambda c: c.member_ids[0],
-    )
-    C2 = ClassMultiset([(c3[0], 2), (c3[1], 2)])
+    C2 = parse_class_selector(G2, "3+:2,3-:2")
     orbits = braid_orbits(reduced_classes(nielsen_inner_classes(G2, C2)))
     out.append(_check("c8.p2.orbit-sizes", [o.size for o in orbits], [9, 6]))
     out.append(
@@ -412,11 +398,7 @@ def criterion_10() -> list[Check]:
         )
     )
     # r=3 class of three plus-3-cycles: genus 0 holds outright.
-    cls3 = sorted(
-        (c for c in A4.conjugacy_classes() if c.element_order == 3),
-        key=lambda c: c.member_ids[0],
-    )
-    C3 = ClassMultiset([(cls3[0], 3)])
+    C3 = parse_class_selector(A4, "3+:3")
     triples = enumerate_nielsen(A4, C3)
     spin_ok = all(
         spin_parity(t.perms, 4) == lifting_invariant(ext, t.perms).sign
@@ -430,17 +412,10 @@ def criterion_10() -> list[Check]:
         )
     )
     # A5, C+-5,3 in the degree-5 representation: genus 1 everywhere.
-    A5 = alternating(5)
-    _, ext5 = sl2_cover(5)
-    c5 = sorted(
-        (c for c in A5.conjugacy_classes() if c.element_order == 5),
-        key=lambda c: c.member_ids[0],
-    )
-    c3 = [c for c in A5.conjugacy_classes() if c.element_order == 3][0]
-    C53 = ClassMultiset([(c5[0], 1), (c5[1], 1), (c3, 1)])
+    _, tuples5, ext5 = _a5_c53_data()
     blocked = 0
     ok5 = True
-    for t in enumerate_nielsen(A5, C53):
+    for t in tuples5:
         try:
             s = spin_parity(t.perms, 5)
             ok5 = ok5 and s == lifting_invariant(ext5, t.perms).sign
@@ -554,16 +529,9 @@ def criterion_14() -> list[Check]:
                     lifting_invariant(ext, moved.perms).exponent == base
                 )
     out.append(Check("c14.lift-braid-invariance-a4", inv_ok))
-    A5 = alternating(5)
-    _, ext5 = sl2_cover(5)
-    c5 = sorted(
-        (c for c in A5.conjugacy_classes() if c.element_order == 5),
-        key=lambda c: c.member_ids[0],
-    )
-    c3 = [c for c in A5.conjugacy_classes() if c.element_order == 3][0]
-    C53 = ClassMultiset([(c5[0], 1), (c5[1], 1), (c3, 1)])
+    _, tuples5, ext5 = _a5_c53_data()
     inv5_ok = True
-    for t in enumerate_nielsen(A5, C53):
+    for t in tuples5:
         base = lifting_invariant(ext5, t.perms).exponent
         for i in (1, 2):
             moved = apply_braid(t, [(i, 1)])
@@ -599,11 +567,7 @@ def criterion_14() -> list[Check]:
     out.append(Check("c14.middle-twist-formula", formula_ok, f"{pairs} pairs"))
     # non-p-perfect emptiness (Z/6, p=2, order-3 classes)
     Z6 = generate([P.from_cycles([tuple(range(6))], 6)], name="Z6")
-    ord3 = sorted(
-        (c for c in Z6.conjugacy_classes() if c.element_order == 3),
-        key=lambda c: c.member_ids[0],
-    )
-    C6 = ClassMultiset([(ord3[0], 2), (ord3[1], 2)])
+    C6 = parse_class_selector(Z6, "3+:2,3-:2")
     out.append(
         _check("c14.perfnongen-empty", len(enumerate_nielsen(Z6, C6)), 0)
     )

@@ -3,9 +3,10 @@
 Groups at desk scale (a few hundred elements for the orbit pipelines, up to
 the closure cap for membership-style queries) are kept as the full sorted
 element list; element IDs are positions in that list, so orbit and
-canonical-form code works on small integers.  Up to MUL_TABLE_MAX (4096)
-elements, products are read from a multiplication table built on first
-use; larger groups have no table and compose image tuples on every product.
+canonical-form code works on small integers.  Every product is read off
+the rows of `mul_table`, built on first use: up to MUL_TABLE_MAX (4096)
+elements they are tuples of a full multiplication table, and above it
+small rows that compose image tuples on each lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable, Sequence
 from . import perm as P
 from .errors import (
     ClosureExceedsCap,
+    ConfigError,
     NotAHomomorphism,
     NotNormal,
     NotPPerfect,
@@ -27,14 +29,25 @@ from .errors import (
 from .perm import Perm
 
 DEFAULT_CAP = 200_000
-# Full |G| x |G| tables only below this order; larger groups fall back to
-# composing image tuples on demand.
+# Full |G| x |G| tables only up to this order; larger groups get rows that
+# compose image tuples on each lookup.
 MUL_TABLE_MAX = 4096
+
+
+def checked_cap(value, source: str) -> int:
+    """value as a positive int, or ConfigError naming the source."""
+    try:
+        cap = int(value)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"{source} must be a positive integer, got {value!r}")
+    return cap
 
 
 def closure_cap() -> int:
     env = os.environ.get("NIELSEN_FORGE_CAP")
-    return int(env) if env else DEFAULT_CAP
+    return checked_cap(env, "NIELSEN_FORGE_CAP") if env else DEFAULT_CAP
 
 
 def close_under_product(gens: Sequence[Perm], cap: int | None = None) -> set[Perm]:
@@ -224,6 +237,19 @@ def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list]
     return out
 
 
+class _ComposedRow:
+    """Row a of a group without a tuple table: row[b] is the id of a * b,
+    composed on lookup (compose(p, q) is itemgetter(*p)(q))."""
+
+    __slots__ = ("_index", "_elements", "_left")
+
+    def __init__(self, index: dict[Perm, int], elements: Sequence[Perm], p: Perm):
+        self._index, self._elements, self._left = index, elements, itemgetter(*p)
+
+    def __getitem__(self, b: int) -> int:
+        return self._index[self._left(self._elements[b])]
+
+
 class FiniteGroup:
     """Generators plus the full, lexicographically sorted element table."""
 
@@ -238,8 +264,9 @@ class FiniteGroup:
         self.generator_ids = tuple(self._index[g] for g in self.generators)
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
+        # _mul is the tuple table, when built; _rows is what mul_table returns
         self._mul: list[tuple[int, ...]] | None = None
-        self._mul_attempted = False
+        self._rows: list[Sequence[int]] | None = None
         self._classes: list[ConjClass] | None = None
 
     def __repr__(self) -> str:
@@ -286,32 +313,26 @@ class FiniteGroup:
         for x in reached[1:]:
             c, k = parent[x]
             inv[x] = rows[inv[c]][gen_invs[k]]
-        self._mul = rows
-        self._inv = inv  # conj reads _inv whenever the table exists
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul is None and not self._mul_attempted:
-            self._mul_attempted = True
-            if self.order <= MUL_TABLE_MAX:
-                self._build_mul_table()
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._index[P.compose(self.elements[a], self.elements[b])]
+        self._mul = self._rows = rows
+        self._inv = inv
 
     @property
-    def mul_table(self) -> list[tuple[int, ...]] | None:
-        """Rows of the multiplication table, built on first use; None above
-        MUL_TABLE_MAX."""
-        if not self._mul_attempted:
-            self.mul(self.identity_id, self.identity_id)
-        return self._mul
+    def mul_table(self) -> list[Sequence[int]]:
+        """Rows of the multiplication table, built on first use:
+        mul_table[a][b] is the id of a * b.  Up to MUL_TABLE_MAX elements
+        the rows are tuples; above it each row composes on lookup.  Either
+        way the inverses are set, so conj reads _inv."""
+        if self._rows is None:
+            if self.order <= MUL_TABLE_MAX:
+                self._build_mul_table()
+            else:
+                index, els = self._index, self.elements
+                self._rows = [_ComposedRow(index, els, p) for p in els]
+                self._inv = self.inv
+        return self._rows
 
-    def mul_row(self, a: int) -> Sequence[int]:
-        """Row of the multiplication table (a*x for every x), if tabled."""
-        tab = self.mul_table
-        if tab is not None:
-            return tab[a]
-        return [self.mul(a, b) for b in range(self.order)]
+    def mul(self, a: int, b: int) -> int:
+        return (self._rows or self.mul_table)[a][b]
 
     @property
     def inv(self) -> list[int]:
@@ -343,10 +364,8 @@ class FiniteGroup:
 
     def conj(self, x: int, h: int) -> int:
         """ID of the word h * x * h^-1."""
-        tab = self._mul
-        if tab is not None:
-            return tab[tab[h][x]][self._inv[h]]
-        return self.mul(self.mul(h, x), self.inv[h])
+        rows = self._rows or self.mul_table
+        return rows[rows[h][x]][self._inv[h]]
 
     def word(self, ids: Iterable[int]) -> int:
         out = self.identity_id

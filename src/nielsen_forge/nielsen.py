@@ -164,7 +164,7 @@ class CanonicalContext:
         """class_min(x) and the conjugators h to it, Cent(min) * transporter,
         one per coset of the center (h and hz conjugate alike), as pairs
         (row, h^-1): row is the table row of h, so h y h^-1 is
-        tab[row[y]][h^-1], or h itself when the group has no table."""
+        tab[row[y]][h^-1]."""
         g = self.group
         tab, inv, mul = g.mul_table, g.inv, g.mul
         m = self.class_min(x)
@@ -173,11 +173,7 @@ class CanonicalContext:
         central = [z for z in self.center if z != g.identity_id]
         head = self._heads[x] = (
             m,
-            [
-                (h if tab is None else tab[h], inv[h])
-                for h in hs
-                if all(h <= mul(h, z) for z in central)
-            ],
+            [(tab[h], inv[h]) for h in hs if all(h <= mul(h, z) for z in central)],
         )
         return head
 
@@ -197,7 +193,7 @@ class CanonicalContext:
         stagewise minimum carried on to the next entry.
         """
         g = self.group
-        tab, conj = g.mul_table, g.conj
+        tab = g.mul_table
         heads, top = self._heads, g.order
         for ids in tuples:
             self.canonicalized += 1
@@ -211,7 +207,7 @@ class CanonicalContext:
                 tied = False
                 for pair in keep:
                     row, hi = pair
-                    v = conj(y, row) if tab is None else tab[row[y]][hi]
+                    v = tab[row[y]][hi]
                     if v < best:
                         best = v
                         chosen = pair
@@ -224,11 +220,11 @@ class CanonicalContext:
                 keep = [
                     (row, hi)
                     for row, hi in keep
-                    if best == (conj(y, row) if tab is None else tab[row[y]][hi])
+                    if best == tab[row[y]][hi]
                 ]
             row, hi = chosen
             for y in ids[k:]:
-                t.append(conj(y, row) if tab is None else tab[row[y]][hi])
+                t.append(tab[row[y]][hi])
             yield tuple(t)
 
 
@@ -284,6 +280,36 @@ def generates(group: FiniteGroup, ids: Iterable[int]) -> bool:
     return len(seen) == group.order
 
 
+def _product_one(
+    group: FiniteGroup,
+    first: Iterable[int],
+    middles: Sequence[Sequence[int]],
+    last_set: frozenset[int] | set[int],
+) -> list[tuple[int, ...]]:
+    """Tuples (a, y_1, ..., y_k, z) with product one, a in first, y_i in
+    middles[i - 1] and z in last_set, in lexicographic order of the choices.
+
+    Prefixes and their products grow one level at a time over table rows;
+    the last middle level and the forced last entry share the final loop.
+    """
+    tab, inv = group.mul_table, group.inv
+    prefixes = [((a,), a) for a in first]
+    for choices in middles[:-1]:
+        longer = []
+        for pre, p in prefixes:
+            row = tab[p]
+            longer += [(pre + (y,), row[y]) for y in choices]
+        prefixes = longer
+    out = []
+    for pre, p in prefixes:
+        row = tab[p]
+        for y in middles[-1]:
+            z = inv[row[y]]
+            if z in last_set:
+                out.append(pre + (y, z))
+    return out
+
+
 def _product_one_candidates(
     group: FiniteGroup,
     pattern: Sequence[ConjClass],
@@ -293,42 +319,9 @@ def _product_one_candidates(
     """Tuples in the given class order with product one (generation
     unchecked); the second entry runs over second_choices, by default all
     of its class."""
-    r = len(pattern)
-    inv = group.inv
-    out: list[tuple[int, ...]] = []
-    last_set = pattern[-1].member_set
     seconds = pattern[1].member_ids if second_choices is None else second_choices
-    if r == 3:
-        for a in first_choices:
-            for b in seconds:
-                c = inv[group.mul(a, b)]
-                if c in last_set:
-                    out.append((a, b, c))
-    elif r == 4:
-        for a in first_choices:
-            row_a = group.mul_row(a)
-            for b in seconds:
-                row_ab = group.mul_row(row_a[b])
-                for c in pattern[2].member_ids:
-                    d = inv[row_ab[c]]
-                    if d in last_set:
-                        out.append((a, b, c, d))
-    else:
-        choices = [seconds] + [cls.member_ids for cls in pattern[2:]]
-
-        def rec(prefix: tuple[int, ...], prod: int, depth: int) -> None:
-            if depth == r - 1:
-                last = inv[prod]
-                if last in last_set:
-                    out.append(prefix + (last,))
-                return
-            row = group.mul_row(prod)
-            for x in choices[depth - 1]:
-                rec(prefix + (x,), row[x], depth + 1)
-
-        for a in first_choices:
-            rec((a,), a, 1)
-    return out
+    middles = [seconds] + [cls.member_ids for cls in pattern[2:-1]]
+    return _product_one(group, first_choices, middles, pattern[-1].member_set)
 
 
 def enumerate_nielsen(group: FiniteGroup, C: ClassMultiset) -> list[NielsenTuple]:
@@ -460,34 +453,20 @@ def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) 
     Every class has such a T, and a lift of a generating tuple through a
     Frattini cover generates, so nothing is tested.  The p' lifts of t1 in
     its class are conjugate under ker psi (Schur-Zassenhaus), which fixes
-    psi(T), so T1 is one fixed lift; the last entry is forced.  Products
-    are read off table rows.
+    psi(T), so T1 is one fixed lift; the last entry is forced.
     """
     ctx = canonical_context(group)
-    tab, mul, inv = group.mul_table, group.mul, group.inv
     members = {x for cls, _ in C.entries for x in cls.member_ids}
     fiber: dict[int, list[int]] = {}
     for x in sorted(members):
         fiber.setdefault(psi.full_map[x], []).append(x)
 
-    def candidates():
-        for t in lower:
-            first = fiber[t[0]][0]
-            # (lifted prefix, its product)
-            prefixes = [((first,), first)]
-            for x in t[1:-1]:
-                prefixes = [
-                    (pre + (y,), mul(p, y) if tab is None else tab[p][y])
-                    for pre, p in prefixes
-                    for y in fiber[x]
-                ]
-            for pre, p in prefixes:
-                # psi(last) = t[-1], so last is in the matched class iff in C
-                last = inv[p]
-                if last in members:
-                    yield pre + (last,)
-
-    return set(ctx.canon_many(candidates()))
+    # psi(last) = t[-1], so the last entry is in the matched class iff in C
+    lifts = (
+        _product_one(group, fiber[t[0]][:1], [fiber[x] for x in t[1:-1]], members)
+        for t in lower
+    )
+    return set(ctx.canon_many(chain.from_iterable(lifts)))
 
 
 def check_automorphisms(

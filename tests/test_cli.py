@@ -263,6 +263,40 @@ def test_cap_flag_overrides_low_env_cap(capsys, monkeypatch):
     assert "lifting invariant: -1" in out
 
 
+@pytest.mark.parametrize(
+    "source, value",
+    [("flag", "0"), ("flag", "-5"), ("config", "0"), ("config", "-5"),
+     ("env", "0"), ("env", "-5"), ("env", "abc")],
+)
+def test_a_cap_that_is_not_a_positive_integer_is_a_config_error(
+    capsys, monkeypatch, tmp_path, source, value
+):
+    report = ["report", "--group", "A(5)", "--classes", "3:4", "--prime", "2"]
+    monkeypatch.delenv("NIELSEN_FORGE_CAP", raising=False)
+    cfg = tmp_path / "run.cfg"
+    named = {"flag": "--cap", "config": f"{cfg}:1: cap", "env": "NIELSEN_FORGE_CAP"}
+    if source == "flag":
+        report += ["--cap", value]
+    elif source == "config":
+        cfg.write_text(f"cap = {value}\n")
+        report += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("NIELSEN_FORGE_CAP", value)
+    code, out, err = run_cli(capsys, *report)
+    assert code == 2 and out == ""
+    assert err.startswith("error[ConfigError:2]")
+    assert f"{named[source]} must be a positive integer" in err
+
+
+@pytest.mark.parametrize("key", ["suite = all", "n = 3"])
+def test_config_keys_no_command_reads_are_unknown(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'group = "A(4)"\n{key}\n')
+    code, _, err = run_cli(capsys, "report", "--config", str(cfg))
+    assert code == 2
+    assert f"{cfg}:2: unknown key" in err
+
+
 def test_invalid_custom_extension_is_a_typed_error(capsys):
     report = ("report", "--group", "D(3)", "--classes", "2:4", "--prime", "3")
     bad = {

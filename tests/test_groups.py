@@ -359,9 +359,34 @@ def test_mul_table_matches_compose(name):
     assert G._mul is not None and len(G._mul) == G.order
     els = G.elements
     for a in range(G.order):
-        row = G.mul_row(a)
+        row = G.mul_table[a]
         assert isinstance(row, tuple) and len(row) == G.order
         assert [els[x] for x in row] == [P.compose(els[a], y) for y in els]
+
+
+def test_composed_rows_on_an_untabled_group(monkeypatch):
+    # S(7) has 5040 > MUL_TABLE_MAX elements, so its rows compose on lookup
+    import random
+
+    import nielsen_forge.groups as groups
+
+    built = []
+    build = FiniteGroup._build_mul_table
+
+    def counted(G):
+        built.append(G)
+        build(G)
+
+    monkeypatch.setattr(FiniteGroup, "_build_mul_table", counted)
+    S7 = symmetric(7)
+    assert S7.order > groups.MUL_TABLE_MAX
+    els, rng = S7.elements, random.Random(7)
+    for _ in range(2000):
+        a, b = rng.randrange(S7.order), rng.randrange(S7.order)
+        assert els[S7.mul_table[a][b]] == P.compose(els[a], els[b])
+        assert els[S7.mul(a, b)] == P.compose(els[a], els[b])
+        assert els[S7.conj(a, b)] == P.conjugate(els[a], els[b])
+    assert S7._mul is None and built == []
 
 
 # one spec per preset family; V2xPM(27) and A(7) are the largest tabled groups

@@ -62,3 +62,49 @@ def test_every_definition_is_used_or_exported():
         and used[node.name] == _names_used(node)[node.name]
     ]
     assert dead == []
+
+
+def test_only_groups_decides_how_a_product_is_formed():
+    # the table-or-compose choice lives in FiniteGroup.mul_table; everything
+    # else reads mul_table rows and never asks whether a table exists
+    trees = _library_trees()
+    private = {"MUL_TABLE_MAX", "_mul", "_rows"}
+    named = [
+        f"{path.name} {name}"
+        for path, tree in trees.items()
+        if path.name != "groups.py"
+        for name in _names_used(tree)
+        if name in private
+    ]
+    groups = next(t for p, t in trees.items() if p.name == "groups.py")
+    owner = next(
+        n for n in ast.walk(groups)
+        if isinstance(n, ast.FunctionDef) and n.name == "mul_table"
+    )
+    reads = [
+        n
+        for n in ast.walk(groups)
+        if isinstance(n, ast.Name) and n.id == "MUL_TABLE_MAX"
+        and isinstance(n.ctx, ast.Load)
+    ]
+    inside = set(map(id, ast.walk(owner)))
+
+    def table_name(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in ("tab", "mul_table")) or (
+            isinstance(node, ast.Attribute) and node.attr == "mul_table"
+        )
+
+    none_tests = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(table_name(x) for x in [node.left, *node.comparators])
+        and any(
+            isinstance(x, ast.Constant) and x.value is None
+            for x in [node.left, *node.comparators]
+        )
+    ]
+    assert named == []
+    assert reads and all(id(n) in inside for n in reads)
+    assert none_tests == []
