@@ -59,11 +59,6 @@ def apply_braid(bg: NielsenTuple, word: BraidWord) -> NielsenTuple:
     return NielsenTuple(group, out)
 
 
-def _shift_ids(ids: tuple[int, ...]) -> tuple[int, ...]:
-    """sh on inner classes: the cyclic shift (g2,...,gr,g1)."""
-    return ids[1:] + ids[:1]
-
-
 @dataclass(slots=True)
 class ReducedClass:
     """Class under conjugation together with Q'' (r=4 only), with its own
@@ -89,10 +84,11 @@ def _braid_table(
 ) -> tuple[list[int], list[int]]:
     """sh and q2 on the sorted inner canonicals of any rank r >= 3, as
     position arrays, all images canonicalized in one canon_many call."""
+    conj = group.conj
     images = canonical_context(group).canon_many(
         chain(
-            (_shift_ids(t) for t in keys),
-            (_twist(group, t, 1, +1) for t in keys),
+            (t[1:] + t[:1] for t in keys),
+            ((t[0], conj(t[2], t[1]), t[1]) + t[3:] for t in keys),
         )
     )
     index = {t: i for i, t in enumerate(keys)}

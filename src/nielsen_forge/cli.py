@@ -4,7 +4,9 @@ Subcommands: report, orbits, cusps, shinc, genus, classify, lift, screen,
 tower, frattini, jennings, verify.  A config file supplies defaults via
 'key = value' lines; flags override.  --cap bounds the closures that
 build this run's groups; without it NIELSEN_FORGE_CAP, or the default,
-applies.  A cap from any source must be a positive integer.
+applies.  A cap from any source must be a positive integer.  A run
+builds the parser of its own subcommand only, and all twelve only when
+there is none to pick, for the help and error texts.
 """
 
 from __future__ import annotations
@@ -26,67 +28,67 @@ from .presets import (
 from .report import render, run_pipeline
 from .tower import LevelMap, build_graph, export_json, same_group
 
-PIPELINE_COMMANDS = (
-    "report",
-    "orbits",
-    "cusps",
-    "shinc",
-    "genus",
-    "classify",
-    "lift",
-    "screen",
-)
+COMMANDS = {
+    "report": "full pipeline report",
+    "orbits": "braid orbits only",
+    "cusps": "cusp widths and types",
+    "shinc": "sh-incidence matrices",
+    "genus": "component genera",
+    "classify": "cusp types",
+    "lift": "lifting invariants per component",
+    "screen": "congruence screen verdicts",
+    "tower": "level-to-level tower graph",
+    "frattini": "Frattini-cover check",
+    "jennings": "Loewy layer dimensions",
+    "verify": "run a golden suite",
+}
+PIPELINE_COMMANDS = tuple(COMMANDS)[:8]  # report .. screen
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """The options shared by the pipeline commands and tower, as a parent."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--group", help='group spec, e.g. "A(4)", "D(9)"')
-    common.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
-    common.add_argument("--prime", type=int, help="the prime p")
-    common.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
-    common.add_argument("--r3", action="store_true", help="check that r = 3")
-    common.add_argument("--format", dest="fmt", help="md, json, or csv")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--cap", type=int, help="group-order closure cap")
-    return common
+def _add_options(sub: argparse.ArgumentParser, name: str) -> None:
+    if name in PIPELINE_COMMANDS or name == "tower":
+        sub.add_argument("--config", help="key = value config file")
+        sub.add_argument("--group", help='group spec, e.g. "A(4)", "D(9)"')
+        sub.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
+        sub.add_argument("--prime", type=int, help="the prime p")
+        sub.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
+        sub.add_argument("--r3", action="store_true", help="check that r = 3")
+        sub.add_argument("--format", dest="fmt", help="md, json, or csv")
+        sub.add_argument("--out", help="write the report here instead of stdout")
+        sub.add_argument("--cap", type=int, help="group-order closure cap")
+    if name == "tower":
+        sub.add_argument("--chain", help='base-first chain, e.g. "D(3),D(9),D(27)"')
+        sub.add_argument("--dot", help="write DOT output here")
+    elif name == "frattini":
+        sub.add_argument("--config", help="key = value config file")
+        sub.add_argument(
+            "--cover",
+            help="Heis(p), SL23, SL25, or split:GROUP:p for the G x Z/p projection",
+        )
+        sub.add_argument("--cap", type=int)
+    elif name == "jennings":
+        sub.add_argument("--p", dest="prime", type=int, required=True)
+        sub.add_argument("--n", type=int, required=True)
+    elif name == "verify":
+        sub.add_argument("--suite", required=True, help=", ".join(sorted(SUITES)))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the subcommand named command, or with all of
+    them when command is None or unknown, for help and error texts."""
     parser = argparse.ArgumentParser(
         prog="nielsen-forge",
         description="Braid orbits on Nielsen classes: components, cusps, "
         "genera, lifting invariants, towers.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    common = [_common_options()]
-    for name, help_text in (
-        ("report", "full pipeline report"),
-        ("orbits", "braid orbits only"),
-        ("cusps", "cusp widths and types"),
-        ("shinc", "sh-incidence matrices"),
-        ("genus", "component genera"),
-        ("classify", "cusp types"),
-        ("lift", "lifting invariants per component"),
-        ("screen", "congruence screen verdicts"),
-    ):
-        subs.add_parser(name, help=help_text, parents=common)
-    tower = subs.add_parser("tower", help="level-to-level tower graph", parents=common)
-    tower.add_argument("--chain", help='base-first chain, e.g. "D(3),D(9),D(27)"')
-    tower.add_argument("--dot", help="write DOT output here")
-    frattini = subs.add_parser("frattini", help="Frattini-cover check")
-    frattini.add_argument("--config", help="key = value config file")
-    frattini.add_argument(
-        "--cover",
-        help="Heis(p), SL23, SL25, or split:GROUP:p for the G x Z/p projection",
-    )
-    frattini.add_argument("--cap", type=int)
-    jen = subs.add_parser("jennings", help="Loewy layer dimensions")
-    jen.add_argument("--p", dest="prime", type=int, required=True)
-    jen.add_argument("--n", type=int, required=True)
-    verify = subs.add_parser("verify", help="run a golden suite")
-    verify.add_argument("--suite", required=True, help=", ".join(sorted(SUITES)))
+    if command in COMMANDS:
+        # the top-level usage, which names an unrecognized option, lists all
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _add_options(subs.add_parser(name, help=COMMANDS[name]), name)
     return parser
 
 
@@ -98,10 +100,9 @@ def _load_config(args) -> RunConfig:
     )
     if getattr(args, "cap", None) is not None:
         checked_cap(args.cap, "--cap")
-    cfg = cfg.merged_with_args(args)
-    if cfg.prime:
-        cfg.prime = require_prime(cfg.prime, "--prime")
-    return cfg
+    if getattr(args, "prime", None) is not None:
+        require_prime(args.prime, "--prime")
+    return cfg.merged_with_args(args)
 
 
 def _write(path: str, text: str) -> None:
@@ -274,8 +275,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command in PIPELINE_COMMANDS:
             return _cmd_pipeline(args.command, args)

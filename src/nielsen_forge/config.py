@@ -142,6 +142,8 @@ def load_config_file(path: str | Path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: bad integer") from exc
             if key == "cap":
                 checked_cap(cfg.cap, f"{path}:{lineno}: cap")
+            elif key == "prime":
+                require_prime(cfg.prime, f"{path}:{lineno}: prime")
         elif key in _BOOL_KEYS:
             setattr(cfg, key, value.lower() in ("1", "true", "yes"))
         else:

@@ -401,8 +401,8 @@ class FiniteGroup:
         ]
 
     def subgroup_closure(self, ids: Iterable[int]) -> frozenset[int]:
-        gens, mul = set(ids), self.mul
-        return frozenset(orbit_of(self.identity_id, lambda x: [mul(x, g) for g in gens]))
+        gens, tab = set(ids), self.mul_table
+        return frozenset(orbit_of(self.identity_id, lambda x: map(tab[x].__getitem__, gens)))
 
     def normal_closure(self, ids: Iterable[int]) -> frozenset[int]:
         """Closure of {1} under x -> x*s (s in ids) and conjugation by the

@@ -262,15 +262,16 @@ def _patterns(C: ClassMultiset) -> list[tuple[ConjClass, ...]]:
 
 def generates(group: FiniteGroup, ids: Iterable[int]) -> bool:
     """Closure test with the Lagrange early exit (> |G|/2 means all of G)."""
-    gens = sorted(set(ids))
+    gens, tab = sorted(set(ids)), group.mul_table
     half = group.order // 2
     seen = {group.identity_id}
     frontier = [group.identity_id]
     while frontier:
         new = []
         for x in frontier:
+            row = tab[x]
             for g in gens:
-                y = group.mul(x, g)
+                y = row[g]
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > half:

@@ -8,9 +8,14 @@ orbits move by move, so that tests can compare the table against them.
 
 from __future__ import annotations
 
-from nielsen_forge.braid import _shift_ids, _twist
+from nielsen_forge.braid import _twist
 from nielsen_forge.groups import FiniteGroup, orbit_of
 from nielsen_forge.nielsen import CanonicalContext
+
+
+def shift_ids(ids: tuple[int, ...]) -> tuple[int, ...]:
+    """sh on inner classes: the cyclic shift (g2,...,gr,g1)."""
+    return ids[1:] + ids[:1]
 
 
 def q13inv_ids(group: FiniteGroup, ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -20,7 +25,7 @@ def q13inv_ids(group: FiniteGroup, ids: tuple[int, ...]) -> tuple[int, ...]:
 def q2_moves(group: FiniteGroup, ctx: CanonicalContext):
     """Generators of Q'' on inner canonicals: sh^2 and q1 q3^-1."""
     return lambda t: (
-        ctx.canon(_shift_ids(_shift_ids(t))),
+        ctx.canon(shift_ids(shift_ids(t))),
         ctx.canon(q13inv_ids(group, t)),
     )
 

@@ -220,8 +220,8 @@ def _case_orbits(spec, classes):
 
 @pytest.mark.parametrize("spec, classes, p", TABLE_CASES)
 def test_braid_table_matches_per_move_canonicals(spec, classes, p):
-    from nielsen_forge.braid import _shift_ids, _twist
-    from per_move import reduced_canonical
+    from nielsen_forge.braid import _twist
+    from per_move import reduced_canonical, shift_ids
     from nielsen_forge.nielsen import canonical_context
 
     G, orbits = _case_orbits(spec, classes)
@@ -232,7 +232,7 @@ def test_braid_table_matches_per_move_canonicals(spec, classes, p):
                 G, ctx, _twist(G, t, 1, +1)
             )
             assert o.members[o.gamma_1[i]] == reduced_canonical(
-                G, ctx, _shift_ids(t)
+                G, ctx, shift_ids(t)
             )
 
 

@@ -1,9 +1,10 @@
+import argparse
 import json
 import re
 
 import pytest
 
-from nielsen_forge.cli import main
+from nielsen_forge.cli import COMMANDS, PIPELINE_COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -434,3 +435,69 @@ def test_bad_path_or_suite_is_a_config_error(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error[ConfigError:2]")
     assert named in err
+
+
+@pytest.mark.parametrize("source", ["flag 0", "flag -3", "config 0", "config -5"])
+def test_a_given_prime_below_two_is_not_a_missing_prime(capsys, tmp_path, source):
+    kind, value = source.split()
+    argv = ["report", "--group", "D(9)", "--classes", "2:4"]
+    if kind == "flag":
+        argv += ["--prime", value]
+        named = "--prime"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"prime = {value}\n")
+        argv += ["--config", str(cfg)]
+        named = f"{cfg}:1: prime"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error[ConfigError:2]: {named} must be a prime, got {value}\n"
+
+
+# help and error texts, one valid argv per command, and their bad options
+PARSER_ARGVS = [
+    [], ["-h"], ["bogus"], ["--bogus"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command, "--bogus"] for command in COMMANDS),
+    *([command, "--group", "A(4)", "--classes", "3+:2", "--prime", "2", "--r3",
+       "--format", "csv", "--cap", "9"] for command in PIPELINE_COMMANDS),
+    ["report", "extra"],
+    ["report", "--group", "D(9)", "--classes", "2:4", "--prime", "x"],
+    ["tower", "--chain", "D(3),D(9)", "--dot", "t.dot", "--prime", "3"],
+    ["frattini", "--cover", "SL23", "--cap", "100"],
+    ["jennings", "--p", "3", "--n", "2"], ["jennings", "--p", "3"],
+    ["verify", "--suite", "a5"], ["verify"],
+]
+
+
+def _parsed(capsys, parser, argv):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_the_one_command_parser_parses_as_the_full_one(capsys, argv):
+    command = argv[0] if argv else None
+    assert _parsed(capsys, build_parser(command), argv) == _parsed(
+        capsys, build_parser(), argv
+    )
+
+
+def test_a_run_builds_the_top_level_parser_and_one_subcommand(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, _ = run_cli(
+        capsys, "report", "--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "2"
+    )
+    assert code == 0
+    assert built == ["nielsen-forge", "nielsen-forge report"]
