@@ -5,7 +5,9 @@ mods out Q'' = <(q1 q2 q3)^2, q1 q3^-1>, which acts on inner classes as a
 Klein 4-group.  Components are orbits of <gamma_inf, gamma_1> on reduced
 classes, with gamma_inf = q2 and gamma_1 = sh; gamma_0 is derived from the
 product-one relation gamma_0 gamma_1 gamma_inf = 1.  Every braid action is
-read off one table of sh and q2 on a level's sorted inner canonicals.
+read off one table of sh and q2 on a level's sorted inner canonicals.  For
+r = 3 there is no reduction, and the H3 = <q1, q2> orbits on inner classes
+are BraidOrbits of the same table.
 """
 
 from __future__ import annotations
@@ -66,17 +68,15 @@ class ReducedClass:
     canonical tuple, all in the sorted list reduced_classes returns."""
 
     group: FiniteGroup
-    canonical: tuple[int, ...]
     inner_canonicals: tuple[tuple[int, ...], ...]
     size: int
-    q2_orbit_length: int
     position: int
     q2_target: int
     sh_target: int
 
     @property
-    def tuple(self) -> NielsenTuple:
-        return NielsenTuple(self.group, self.canonical)
+    def canonical(self) -> tuple[int, ...]:
+        return self.inner_canonicals[0]
 
 
 def _braid_table(
@@ -136,10 +136,8 @@ def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
         out.append(
             ReducedClass(
                 group,
-                keys[a],
                 tuple(map(keys.__getitem__, m)),
                 sum(map(sizes.__getitem__, m)),
-                len(m),
                 r,
                 reduced_of[q2[a]],
                 reduced_of[sh[a]],
@@ -152,12 +150,14 @@ class BraidOrbit:
     """Orbit of <gamma_inf, gamma_1> on reduced classes (one component).
 
     The classes come sorted by canonical; gamma_inf and gamma_1 index them.
+    For r = 3 the classes are inner classes, with gamma_inf = q2 and
+    gamma_1 = sh, and the orbit is one of H3 = <q1, q2>.
     """
 
     def __init__(
         self,
         group: FiniteGroup,
-        classes: Sequence[ReducedClass],
+        classes: Sequence[ReducedClass | InnerClass],
         gamma_inf: Perm,
         gamma_1: Perm,
     ):
@@ -175,7 +175,27 @@ class BraidOrbit:
         return len(self.members)
 
     def q2_lengths(self) -> list[int]:
-        return [c.q2_orbit_length for c in self.classes]
+        return [len(c.inner_canonicals) for c in self.classes]
+
+
+def _orbits(group: FiniteGroup, classes, q2, sh, escape=None) -> list[BraidOrbit]:
+    """Orbits of the position arrays q2 = gamma_inf and sh = gamma_1 on the
+    sorted classes, re-indexed locally; larger first, ties by least member."""
+    local = [0] * len(classes)
+    orbits = []
+    for members in partition_orbits(range(len(classes)), (q2, sh), escape):
+        for j, g in enumerate(members):
+            local[g] = j
+        orbits.append(
+            BraidOrbit(
+                group,
+                [classes[g] for g in members],
+                [local[q2[g]] for g in members],
+                [local[sh[g]] for g in members],
+            )
+        )
+    orbits.sort(key=lambda o: -o.size)  # stable
+    return orbits
 
 
 def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
@@ -187,7 +207,6 @@ def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     """
     if not reduced:
         return []
-    group = reduced[0].group
     if len(reduced[0].canonical) != 4:
         raise RankNotFour("braid orbits on reduced classes need r = 4")
     escape = ClassListEscape("braid action left the reduced class list")
@@ -195,42 +214,12 @@ def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     # every class must still sit at its own position there
     if any(c.position != i for i, c in enumerate(reduced)):
         raise escape
-    gamma_inf = [c.q2_target for c in reduced]
-    gamma_1 = [c.sh_target for c in reduced]
-    local = [0] * len(reduced)
-    orbits = []
-    for members in partition_orbits(
-        range(len(reduced)), (gamma_inf, gamma_1), escape
-    ):
-        for j, g in enumerate(members):
-            local[g] = j
-        orbits.append(
-            BraidOrbit(
-                group,
-                [reduced[g] for g in members],
-                [local[gamma_inf[g]] for g in members],
-                [local[gamma_1[g]] for g in members],
-            )
-        )
-    # stable: equal sizes keep the order of their least member
-    orbits.sort(key=lambda o: -o.size)
-    return orbits
+    q2 = [c.q2_target for c in reduced]
+    sh = [c.sh_target for c in reduced]
+    return _orbits(reduced[0].group, reduced, q2, sh, escape)
 
 
-class H3Orbit:
-    """Orbit of H_3 = <q1, q2> on inner classes (r = 3; no reduction)."""
-
-    def __init__(self, group: FiniteGroup, classes: Sequence[InnerClass]):
-        self.group = group
-        self.classes = tuple(sorted(classes, key=lambda c: c.canonical))
-        self.members = tuple(c.canonical for c in self.classes)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[H3Orbit]:
+def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[BraidOrbit]:
     """H3 orbits, the orbits of the sh/q2 table: for r = 3, sh = q1 q2 on
     inner classes, so <sh, q2> = <q1, q2>."""
     if not inner:
@@ -239,13 +228,8 @@ def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[H3Orbit]:
     if len(inner[0].canonical) != 3:
         raise ConfigError("H3 orbit mode needs r = 3")
     inner = sorted(inner, key=lambda c: c.canonical)
-    table = _braid_table(group, [c.canonical for c in inner])
-    orbits = [
-        H3Orbit(group, [inner[j] for j in members])
-        for members in partition_orbits(range(len(inner)), table)
-    ]
-    orbits.sort(key=lambda o: -o.size)
-    return orbits
+    sh, q2 = _braid_table(group, [c.canonical for c in inner])
+    return _orbits(group, inner, q2, sh)
 
 
 def absolute_reduced_classes(
@@ -284,13 +268,15 @@ def absolute_reduced_classes(
 class CuspOrbit:
     """A gamma_inf orbit inside one braid orbit; its size is the width.
 
-    Members are held both as canonicals and as positions in the orbit, in
-    the same (ascending) order.
+    Members are held as ascending positions in the orbit.
     """
 
     orbit: BraidOrbit
-    member_canonicals: tuple[tuple[int, ...], ...]
     member_indices: tuple[int, ...]
+
+    @property
+    def member_canonicals(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.orbit.members.__getitem__, self.member_indices))
 
     @property
     def width(self) -> int:
@@ -308,11 +294,10 @@ def cusp_orbits(orbit: BraidOrbit) -> tuple[CuspOrbit, ...]:
     order.  Computed once per orbit and kept on it.
     """
     if orbit._cusps is None:
-        members = orbit.members
         orbit._cusps = tuple(
-            CuspOrbit(orbit, tuple(members[i] for i in idx), idx)
             # P.cycles lists the cycles by least point
-            for idx in (tuple(sorted(c)) for c in P.cycles(orbit.gamma_inf))
+            CuspOrbit(orbit, tuple(sorted(c)))
+            for c in P.cycles(orbit.gamma_inf)
         )
     return orbit._cusps
 

@@ -46,13 +46,16 @@ PIPELINE_COMMANDS = tuple(COMMANDS)[:8]  # report .. screen
 
 
 def _add_options(sub: argparse.ArgumentParser, name: str) -> None:
-    if name in PIPELINE_COMMANDS or name == "tower":
+    pipeline = name in PIPELINE_COMMANDS
+    if pipeline or name == "tower":
         sub.add_argument("--config", help="key = value config file")
-        sub.add_argument("--group", help='group spec, e.g. "A(4)", "D(9)"')
+        if pipeline:
+            sub.add_argument("--group", help='group spec, e.g. "A(4)", "D(9)"')
         sub.add_argument("--classes", help='class selectors, e.g. "3+:2,3-:2"')
         sub.add_argument("--prime", type=int, help="the prime p")
-        sub.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
-        sub.add_argument("--r3", action="store_true", help="check that r = 3")
+        if pipeline:
+            sub.add_argument("--extension", help="central extension: SL23, SL25, Heis(p)")
+            sub.add_argument("--r3", action="store_true", help="check that r = 3")
         sub.add_argument("--format", dest="fmt", help="md, json, or csv")
         sub.add_argument("--out", help="write the report here instead of stdout")
         sub.add_argument("--cap", type=int, help="group-order closure cap")
@@ -102,7 +105,11 @@ def _load_config(args) -> RunConfig:
         checked_cap(args.cap, "--cap")
     if getattr(args, "prime", None) is not None:
         require_prime(args.prime, "--prime")
-    return cfg.merged_with_args(args)
+    cfg = cfg.merged_with_args(args)
+    # one check for --format and format = alike; tower prints Markdown for csv
+    if hasattr(args, "fmt") and cfg.fmt not in ("md", "json", "csv"):
+        raise ConfigError(f"unknown format {cfg.fmt!r} (choose md, json, csv)")
+    return cfg
 
 
 def _write(path: str, text: str) -> None:
@@ -183,9 +190,8 @@ def _focused_markdown(command: str, result) -> str:
 def _cmd_pipeline(command: str, args) -> int:
     cfg = _load_config(args)
     result = _pipeline(cfg)
-    fmt = cfg.fmt or "md"
-    if command == "report" or fmt in ("json", "csv"):
-        text = render(result, fmt)
+    if command == "report" or cfg.fmt != "md":
+        text = render(result, cfg.fmt)
     else:
         text = _focused_markdown(command, result)
     _emit(text, cfg.out)
@@ -206,7 +212,7 @@ def _cmd_tower(args) -> int:
     graph = build_graph(chain, C, cfg.prime)
     if cfg.dot:
         _write(cfg.dot, graph.to_dot())
-    if (cfg.fmt or "json") == "json":
+    if cfg.fmt == "json":
         _emit(export_json(graph), cfg.out)
     else:
         lines = [f"# tower over {base.name}, p = {cfg.prime}"]

@@ -506,7 +506,7 @@ def component_dossier(
         )
     lift = None
     if extension is not None:
-        rep = orbit.classes[0].tuple
+        rep = NielsenTuple(orbit.group, orbit.members[0])
         lift = _orbit_lifting_invariant(extension, rep)
     screen = congruence_screen(orbit, lift)
     return ComponentDossier(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -550,6 +551,14 @@ class GroupHom:
         if any(v == -1 for v in fmap):
             raise NotAHomomorphism("generators do not generate the source group")
         return tuple(fmap)
+
+    @cached_property
+    def fibers(self) -> list[list[int]]:
+        """The source ids over each target id, in ascending order."""
+        out: list[list[int]] = [[] for _ in range(self.target.order)]
+        for x, y in enumerate(self.full_map):
+            out[y].append(x)
+        return out
 
     @property
     def is_surjective(self) -> bool:

@@ -68,10 +68,6 @@ class CentralExtension:
         ):
             raise ConfigError("kernel generator is not central")
         self._exponent = {z: e for e, z in enumerate(powers)}
-        fibers: list[list[int]] = [[] for _ in range(G.order)]
-        for r, g in enumerate(proj.full_map):
-            fibers[g].append(r)
-        self._fibers = fibers
 
     def kernel_exponent(self, rid: int) -> int:
         return self._exponent[rid]
@@ -84,7 +80,7 @@ class CentralExtension:
             raise OrderNotPrime(
                 f"element order {n} is divisible by p={self.p}"
             )
-        h = self._fibers[gid][0]
+        h = self.proj.fibers[gid][0]
         hn = R.identity_id
         for _ in range(n):
             hn = R.mul(hn, h)
@@ -215,10 +211,7 @@ def is_frattini_cover(phi: GroupHom) -> bool:
     if not phi.is_surjective:
         raise NotSurjective("Frattini check needs a surjective cover")
     src, tgt = phi.source, phi.target
-    fibers: list[list[int]] = [[] for _ in range(tgt.order)]
-    for r, g in enumerate(phi.full_map):
-        fibers[g].append(r)
-    choices = [fibers[tgt.id_of(g)] for g in tgt.generators]
+    choices = [phi.fibers[tgt.id_of(g)] for g in tgt.generators]
     kernel = phi.kernel_ids
     reps = [
         [o[0] for o in partition_orbits(f, lambda x: (src.conj(x, k) for k in kernel))]

@@ -458,9 +458,7 @@ def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) 
     """
     ctx = canonical_context(group)
     members = {x for cls, _ in C.entries for x in cls.member_ids}
-    fiber: dict[int, list[int]] = {}
-    for x in sorted(members):
-        fiber.setdefault(psi.full_map[x], []).append(x)
+    fiber = [[x for x in f if x in members] for f in psi.fibers]
 
     # psi(last) = t[-1], so the last entry is in the matched class iff in C
     lifts = (

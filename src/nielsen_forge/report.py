@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 
 from . import perm as P
-from .braid import H3Orbit, braid_orbits, braid_orbits_r3, reduced_classes
+from .braid import BraidOrbit, braid_orbits, braid_orbits_r3, reduced_classes
 from .cusps import ComponentDossier, component_dossier
 from .errors import ConfigError
 from .groups import FiniteGroup
@@ -26,7 +26,7 @@ class PipelineResult:
     inner_count: int
     reduced_count: int
     dossiers: list[ComponentDossier]
-    h3_orbits: list[H3Orbit] | None = None
+    h3_orbits: list[BraidOrbit] | None = None
     h3_lifts: list[str] | None = None
 
 

@@ -70,16 +70,13 @@ def match_classes(level: LevelMap, C: ClassMultiset) -> ClassMultiset:
     """
     up, down, p = level.upstairs, level.downstairs, level.p
     C = transfer_classes(C, down)
-    orders = up.element_orders
+    orders, fibers = up.element_orders, level.psi.fibers
     lifted = []
     for cls, mult in C.entries:
         if cls.element_order % p == 0:
             raise ConfigError(f"class {cls.label()} is not a p' class for p={p}")
-        member_ids = cls.member_set
         prime_preimage = {
-            x
-            for x in range(up.order)
-            if level.psi.full_map[x] in member_ids and orders[x] % p != 0
+            x for y in cls.member_ids for x in fibers[y] if orders[x] % p != 0
         }
         if not prime_preimage:
             raise MultiplePrimeClasses(

@@ -97,7 +97,7 @@ def test_reduced_classes_a4():
     _, _, inner = _a4_setup()
     red = reduced_classes(inner)
     assert len(red) == 15
-    assert all(r.q2_orbit_length == 2 for r in red)
+    assert all(len(r.inner_canonicals) == 2 for r in red)
     assert sum(r.size for r in red) == sum(c.orbit_size for c in inner)
 
 
@@ -141,7 +141,7 @@ def test_dihedral_q2_acts_trivially_on_classes():
     inv = [c for c in D9.conjugacy_classes() if c.element_order == 2][0]
     C = ClassMultiset([(inv, 4)])
     red = reduced_classes(nielsen_inner_classes(D9, C))
-    assert all(r.q2_orbit_length == 1 for r in red)
+    assert all(len(r.inner_canonicals) == 1 for r in red)
 
 
 def test_h3_orbits_a5():
@@ -234,6 +234,32 @@ def test_braid_table_matches_per_move_canonicals(spec, classes, p):
             assert o.members[o.gamma_1[i]] == reduced_canonical(
                 G, ctx, shift_ids(t)
             )
+
+
+# the r = 3 snapshot inputs
+R3_CASES = [
+    ("A(5)", "5+:1,5-:1,3:1"),
+    ("A(6)", "(2 3 4 5 6):1,(1 2)(3 4 5 6):2"),
+    ("A(6)", "(2 3 4 5 6):1,(2 3 4 6 5):1,(1 2)(3 4 5 6):1"),
+]
+
+
+@pytest.mark.parametrize("spec, classes", R3_CASES)
+def test_h3_orbits_carry_the_braid_action(spec, classes):
+    # the r = 3 twin of the test above: gamma_inf = q2 and gamma_1 = sh on
+    # inner classes, against each move applied and canonicalized alone
+    from nielsen_forge.braid import _twist
+    from per_move import shift_ids
+    from nielsen_forge.nielsen import canonical_context
+
+    G, inner = _case_inner(spec, classes)
+    ctx = canonical_context(G)
+    orbits = braid_orbits_r3(inner)
+    assert sum(o.size for o in orbits) == len(inner)
+    for o in orbits:
+        for i, t in enumerate(o.members):
+            assert o.members[o.gamma_inf[i]] == ctx.canon(_twist(G, t, 1, +1))
+            assert o.members[o.gamma_1[i]] == ctx.canon(shift_ids(t))
 
 
 @pytest.mark.parametrize("spec, classes, p", TABLE_CASES)

@@ -361,6 +361,60 @@ def test_bad_input_is_a_config_error(capsys, argv):
     assert "Traceback" not in err
 
 
+D9_ARGS = ("--group", "D(9)", "--classes", "2:4", "--prime", "3")
+TOWER_ARGS = ("--chain", "D(3),D(9)", "--classes", "2:4", "--prime", "3")
+BAD_FORMATS = [
+    *(
+        (source, command, "bogus")
+        for source in ("flag", "config")
+        for command in (*PIPELINE_COMMANDS, "tower")
+    ),
+    # an empty --format leaves the default, an empty format = names none
+    ("config", "genus", ""),
+    ("config", "tower", ""),
+]
+
+
+@pytest.mark.parametrize("source, command, fmt", BAD_FORMATS)
+def test_every_command_checks_its_format(capsys, tmp_path, source, command, fmt):
+    # md, json or csv, from the flag or a config file alike
+    args = TOWER_ARGS if command == "tower" else D9_ARGS
+    if source == "flag":
+        args += ("--format", fmt)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format = {fmt}\n")
+        args += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (2, "")
+    assert err == f"error[ConfigError:2]: unknown format {fmt!r} (choose md, json, csv)\n"
+
+
+def test_tower_prints_its_markdown_summary_for_csv(capsys):
+    # the small-sweep benchmark runs one tower job with --format csv
+    md = run_cli(capsys, "tower", *TOWER_ARGS, "--format", "md")
+    assert md[0] == 0 and md[1].startswith("# tower over D3")
+    assert run_cli(capsys, "tower", *TOWER_ARGS, "--format", "csv") == md
+
+
+@pytest.mark.parametrize(
+    "option", [("--group", "D(3)"), ("--extension", "SL23"), ("--r3",)], ids=" ".join
+)
+def test_tower_has_no_pipeline_only_options(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", *TOWER_ARGS, *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
+
+
+def test_tower_reads_a_config_file_shared_with_the_pipeline(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("group = D(9)\nextension = SL23\nr3 = true\nformat = json\n")
+    code, out, _ = run_cli(capsys, "tower", *TOWER_ARGS, "--config", str(cfg))
+    assert code == 0
+    assert len(json.loads(out)["levels"]) == 2
+
+
 def _cli_subprocess(*argv):
     # a subprocess with a timeout, so that a validation regression that
     # lets a bad prime through fails the test instead of hanging it

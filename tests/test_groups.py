@@ -145,6 +145,17 @@ def test_hom_verification_and_kernel():
     assert ident.is_injective and ident.is_surjective
 
 
+def test_hom_fibers_list_the_preimages_of_each_target_id():
+    R, ext = sl2_cover(3)
+    proj = ext.proj
+    assert proj.fibers is proj.fibers  # computed once per hom
+    assert len(proj.fibers) == proj.target.order
+    assert sorted(x for f in proj.fibers for x in f) == list(range(R.order))
+    for y, f in enumerate(proj.fibers):
+        assert f == sorted(f) and len(f) == 2
+        assert all(proj.full_map[x] == y for x in f)
+
+
 def test_hom_rejects_non_homomorphism():
     A4 = alternating(4)
     bad = [P.parse("(1 2 3)", 4), P.parse("(1 2 3)", 4)]

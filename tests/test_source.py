@@ -108,3 +108,25 @@ def test_only_groups_decides_how_a_product_is_formed():
     assert named == []
     assert reads and all(id(n) in inside for n in reads)
     assert none_tests == []
+
+
+def test_one_orbit_record_for_every_rank():
+    # r = 3 and r = 4 orbits on classes are both BraidOrbits, built by one
+    # helper; MiddleTwistOrbit holds the twist lengths of one pair of entries
+    trees = _library_trees()
+    records = sorted(
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Orbit")
+    )
+    built = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "BraidOrbit"
+    ]
+    assert records == ["BraidOrbit", "CuspOrbit", "MiddleTwistOrbit"]
+    assert len(built) == 1
