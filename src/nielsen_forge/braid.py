@@ -19,7 +19,7 @@ from typing import Sequence
 from . import perm as P
 from .errors import BraidInvariantBroken, ClassListEscape, ConfigError, RankNotFour
 from .groups import FiniteGroup, partition_orbits
-from .nielsen import InnerClass, NielsenTuple, canonical_context, check_automorphisms
+from .nielsen import InnerClass, NielsenTuple, automorphism_orbits, canonical_context
 from .perm import Perm
 
 # A braid word is a sequence of (i, sign) pairs, i the 1-based twist index.
@@ -241,27 +241,13 @@ def absolute_reduced_classes(
     tuples, as for absolute_classes; the image of each class is found by
     its canonical inner class.
     """
-    if not reduced:
-        return []
-    group = reduced[0].group
     reduced = sorted(reduced, key=lambda c: c.canonical)
-    keys = [c.canonical for c in reduced]
-    check_automorphisms(group, autos, keys)
-    position = {t: r for r, c in enumerate(reduced) for t in c.inner_canonicals}
-    images = canonical_context(group).canon_many(
-        tuple(map(a.apply_id, t)) for a in autos for t in keys
+    return automorphism_orbits(
+        reduced,
+        {t: r for r, c in enumerate(reduced) for t in c.inner_canonicals},
+        autos,
+        ClassListEscape("automorphism left the reduced class list"),
     )
-    try:
-        moved = list(map(position.__getitem__, images))
-    except KeyError:
-        raise ClassListEscape("automorphism left the reduced class list") from None
-    n = len(keys)
-    return [
-        [reduced[r] for r in members]
-        for members in partition_orbits(
-            range(n), [moved[k : k + n] for k in range(0, len(moved), n)]
-        )
-    ]
 
 
 @dataclass(slots=True)

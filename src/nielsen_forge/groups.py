@@ -175,66 +175,48 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _grow(orbit: list, seen: set, moves, keys, escape) -> list:
-    """Append to orbit, whose points are in seen, every new point moves reach."""
-    for t in orbit:
+def orbit_of(start, moves) -> set:
+    """Closure of {start} under moves(t)."""
+    orbit, todo = {start}, [start]
+    for t in todo:
         for u in moves(t):
-            if u not in seen:
-                if keys is not None and u not in keys:
-                    raise escape
-                seen.add(u)
-                orbit.append(u)
+            if u not in orbit:
+                orbit.add(u)
+                todo.append(u)
     return orbit
 
 
-def orbit_of(start, moves, keys=None, escape: Exception | None = None) -> set:
-    """Closure of {start} under moves(t); an image outside keys raises escape."""
-    orbit = {start}
-    _grow([start], orbit, moves, keys, escape)
-    return orbit
+def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list[int]]:
+    """Orbits of index arrays on keys = range(n), each sorted, in order of
+    least member; any other keys raise ValueError.
 
-
-def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list]:
-    """Orbits of moves on keys, each sorted, in order of least member.
-
-    The moves must act by permutations, so that orbits are disjoint: the
-    sorted keys are visited once and one set marks every point reached.
-    For integer keys range(n), moves is a sequence of index arrays (move k
-    sends i to moves[k][i]), walked with a bytearray mark instead.  An
-    image outside the keys raises escape, or ValueError when none is given.
+    Move k sends i to moves[k][i].  The moves must act by permutations, so
+    that orbits are disjoint: range(n) is visited once and a bytearray marks
+    every point reached.  An entry outside range(n) raises escape, or
+    ValueError when none is given.
     """
-    if escape is None:
-        escape = ValueError("an orbit left the keys")
-    if isinstance(keys, range):
-        n = len(keys)
-        if keys.start != 0 or keys.step != 1:
-            raise ValueError(f"integer keys must be range(n), got {keys!r}")
-        if any(
-            len(a) != n or min(a, default=0) < 0 or max(a, default=0) >= n
-            for a in moves
-        ):
-            raise escape
-        mark = bytearray(n)
-        out = []
-        for start in keys:
-            if not mark[start]:
-                mark[start] = 1
-                orbit = [start]
-                for t in orbit:
-                    for a in moves:
-                        u = a[t]
-                        if not mark[u]:
-                            mark[u] = 1
-                            orbit.append(u)
-                orbit.sort()
-                out.append(orbit)
-        return out
-    seen: set = set()
+    if not isinstance(keys, range) or keys.start != 0 or keys.step != 1:
+        raise ValueError(f"keys must be range(n), got {keys!r}")
+    n = len(keys)
+    if any(
+        len(a) != n or min(a, default=0) < 0 or max(a, default=0) >= n
+        for a in moves
+    ):
+        raise escape or ValueError("an orbit left the keys")
+    mark = bytearray(n)
     out = []
-    for start in sorted(keys):
-        if start not in seen:
-            seen.add(start)
-            out.append(sorted(_grow([start], seen, moves, keys, escape)))
+    for start in keys:
+        if not mark[start]:
+            mark[start] = 1
+            orbit = [start]
+            for t in orbit:
+                for a in moves:
+                    u = a[t]
+                    if not mark[u]:
+                        mark[u] = 1
+                        orbit.append(u)
+            orbit.sort()
+            out.append(orbit)
     return out
 
 

@@ -118,14 +118,10 @@ def p_prime_lift(ext: CentralExtension, g: Perm) -> Perm:
     return ext.R.perm(ext.p_prime_lift_id(ext.G.id_of(g)))
 
 
-def _entry_ids(ext: CentralExtension, entries: Sequence[Perm]) -> list[int]:
-    return [ext.G.id_of(g) for g in entries]
-
-
 def lifting_invariant(ext: CentralExtension, entries: Sequence[Perm]) -> LiftInvariant:
     """Product of the unique p'-lifts, as a kernel-generator exponent."""
-    ids = _entry_ids(ext, entries)
     G = ext.G
+    ids = [G.id_of(g) for g in entries]
     prod = G.identity_id
     for x in ids:
         prod = G.mul(prod, x)
@@ -212,11 +208,11 @@ def is_frattini_cover(phi: GroupHom) -> bool:
         raise NotSurjective("Frattini check needs a surjective cover")
     src, tgt = phi.source, phi.target
     choices = [phi.fibers[tgt.id_of(g)] for g in tgt.generators]
-    kernel = phi.kernel_ids
-    reps = [
-        [o[0] for o in partition_orbits(f, lambda x: (src.conj(x, k) for k in kernel))]
-        for f in choices
-    ]
+    reps = []
+    for f in choices:
+        pos = {x: i for i, x in enumerate(f)}
+        arrays = [[pos[src.conj(x, k)] for x in f] for k in phi.kernel_ids]
+        reps.append([f[o[0]] for o in partition_orbits(range(len(f)), arrays)])
     i = min(range(len(reps)), key=lambda j: len(reps[j]))
     choices[i] = reps[i]
     return all(

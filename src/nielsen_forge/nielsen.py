@@ -9,6 +9,7 @@ minimum remains to scan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -134,12 +135,14 @@ class CanonicalContext:
         if out is None:
             g = self.group
             cent = self._cent_of_min[self.class_min(m)]
-            gens = greedy_generators(g, cent)
+            ids = cls.member_ids
+            pos = {x: i for i, x in enumerate(ids)}
             orbits = partition_orbits(
-                cls.member_ids, lambda x: [g.conj(x, h) for h in gens]
+                range(len(ids)),
+                [[pos[g.conj(x, h)] for x in ids] for h in greedy_generators(g, cent)],
             )
             out = self._cent_orbits[key] = [
-                (o[0], len(cent) // len(o)) for o in orbits
+                (ids[o[0]], len(cent) // len(o)) for o in orbits
             ]
         return out
 
@@ -488,6 +491,36 @@ def check_automorphisms(
                 )
 
 
+def automorphism_orbits(
+    classes: Sequence,
+    position: dict[tuple[int, ...], int],
+    autos: Sequence[GroupHom],
+    escape: Exception,
+) -> list[list]:
+    """Merge classes, sorted by canonical, under the entrywise action of
+    <autos>: one bucket per orbit, in order of least canonical.
+
+    The maps pass check_automorphisms, the images of every canonical go
+    through one canon_many call, and position gives the place in classes
+    of each image; an image it lacks raises escape.
+    """
+    if not classes:
+        return []
+    group = classes[0].group
+    keys = [c.canonical for c in classes]
+    check_automorphisms(group, autos, keys)
+    images = canonical_context(group).canon_many(
+        tuple(map(a.apply_id, t)) for a in autos for t in keys
+    )
+    try:
+        moved = list(map(position.__getitem__, images))
+    except KeyError:
+        raise escape from None
+    n = len(keys)
+    arrays = [moved[k : k + n] for k in range(0, len(moved), n)]
+    return [[classes[i] for i in m] for m in partition_orbits(range(n), arrays)]
+
+
 def absolute_classes(
     classes: Sequence[InnerClass], autos: Sequence[GroupHom]
 ) -> list[list[InnerClass]]:
@@ -497,20 +530,14 @@ def absolute_classes(
     class.  Each map must be an automorphism preserving every class that
     occurs in the tuples.
     """
-    if not classes:
-        return []
-    group = classes[0].group
-    check_automorphisms(group, autos, [cls.canonical for cls in classes])
-    ctx = canonical_context(group)
     by_canon = {cls.canonical: cls for cls in classes}
-    return [
-        [by_canon[t] for t in members]
-        for members in partition_orbits(
-            by_canon,
-            lambda t: (ctx.canon(tuple(a.apply_id(x) for x in t)) for a in autos),
-            ClassNotPreserved("automorphism leads outside the class list"),
-        )
-    ]
+    keys = sorted(by_canon)
+    return automorphism_orbits(
+        [by_canon[t] for t in keys],
+        {t: i for i, t in enumerate(keys)},
+        autos,
+        ClassNotPreserved("automorphism leads outside the class list"),
+    )
 
 
 def check_rationality(C: ClassMultiset, n: int) -> bool:
@@ -519,26 +546,12 @@ def check_rationality(C: ClassMultiset, n: int) -> bool:
     n must be invertible modulo every class element order, so powering
     permutes the classes of each order.
     """
-    for cls, _ in C.entries:
+    before, after = Counter(), Counter()
+    for cls, mult in C.entries:
         if gcd(n, cls.element_order) != 1:
             raise ConfigError(
                 f"n = {n} is not coprime to the class order {cls.element_order}"
             )
-    before = sorted(
-        (c.member_ids[0], m) for c, m in _collect_multiplicities(C).items()
-    )
-    after_counts: dict[int, int] = {}
-    for cls, mult in _collect_multiplicities(C).items():
-        target = cls.power(n)
-        after_counts[target.member_ids[0]] = (
-            after_counts.get(target.member_ids[0], 0) + mult
-        )
-    after = sorted(after_counts.items())
+        before[cls.member_ids[0]] += mult
+        after[cls.power(n).member_ids[0]] += mult
     return before == after
-
-
-def _collect_multiplicities(C: ClassMultiset) -> dict[ConjClass, int]:
-    out: dict[ConjClass, int] = {}
-    for cls, mult in C.entries:
-        out[cls] = out.get(cls, 0) + mult
-    return out

@@ -507,6 +507,24 @@ def test_absolute_reduced_classes_match_the_per_move_images():
         assert images == members
 
 
+def test_absolute_reduced_classes_escape_a_list_not_closed_under_the_map():
+    # A(5) C(5+^2, 5-^2) with one partner of a swapped pair dropped: the
+    # class multiset is kept, the other partner's image is not listed
+    from nielsen_forge.braid import absolute_reduced_classes
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.errors import ClassListEscape
+
+    A5 = alternating(5)
+    swap = _outer_swap(A5, 5)
+    reduced = reduced_classes(
+        nielsen_inner_classes(A5, parse_class_selector(A5, "5+:2,5-:2"))
+    )
+    pair = next(b for b in absolute_reduced_classes(reduced, [swap]) if len(b) == 2)
+    with pytest.raises(ClassListEscape) as err:
+        absolute_reduced_classes([c for c in reduced if c is not pair[1]], [swap])
+    assert err.value.code == 25
+
+
 def test_absolute_reduced_classes_validate_the_maps():
     # the checks absolute_classes makes: a foreign or non-bijective map is
     # not an automorphism, and a map that moves the class multiset is refused

@@ -437,7 +437,7 @@ def test_perm_group_order_matches_closure(spec):
 
 def test_partition_orbits_on_index_arrays():
     # keys range(n) take index arrays; an entry outside range(n) raises the
-    # given escape, or ValueError without one, and other ranges are refused
+    # given escape, or ValueError without one, and other keys are refused
     sw, cyc = [1, 0, 2, 4, 3], [0, 1, 3, 2, 4]
     assert partition_orbits(range(5), (sw, cyc)) == [[0, 1], [2, 3, 4]]
     assert partition_orbits(range(0), ()) == []
@@ -446,5 +446,6 @@ def test_partition_orbits_on_index_arrays():
     for bad in ([0, 1, 5, 2, 4], [0, 1, -1, 2, 4], [0, 1, 3, 2]):
         with pytest.raises(ValueError):
             partition_orbits(range(5), (sw, bad))
-    with pytest.raises(ValueError):
-        partition_orbits(range(1, 6), ([1, 0, 2, 4, 3],))
+    for keys in (range(1, 6), [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            partition_orbits(keys, ([1, 0, 2, 4, 3],))

@@ -217,6 +217,19 @@ def test_absolute_classes_rejects_class_movers():
         absolute_classes(inner, [outer])
 
 
+def test_absolute_classes_escape_a_list_not_closed_under_the_map():
+    # dropping one partner of a swapped pair keeps the class multiset of
+    # every tuple, but the kept partner's image is no longer listed
+    A4, C = _a4_classes()
+    inner = nielsen_inner_classes(A4, C)
+    swap = [P.conjugate(g, P.parse("(1 2)", 4)) for g in A4.generators]
+    outer = hom(A4, A4, swap)
+    dropped = absolute_classes(inner, [outer])[0][1]
+    with pytest.raises(ClassNotPreserved, match="outside the class list") as err:
+        absolute_classes([c for c in inner if c is not dropped], [outer])
+    assert err.value.code == 16
+
+
 def test_check_rationality():
     A4, C = _a4_classes()
     assert check_rationality(C, 2)  # the two 3-classes swap, multiset kept
