@@ -239,9 +239,10 @@ def absolute_reduced_classes(
 
     Each map must be an automorphism preserving the class multiset of the
     tuples, as for absolute_classes; the image of each class is found by
-    its canonical inner class.
+    its canonical inner class.  A repeated class is kept once.
     """
-    reduced = sorted(reduced, key=lambda c: c.canonical)
+    by_canon = {c.canonical: c for c in reduced}
+    reduced = [by_canon[t] for t in sorted(by_canon)]
     return automorphism_orbits(
         reduced,
         {t: r for r, c in enumerate(reduced) for t in c.inner_canonicals},

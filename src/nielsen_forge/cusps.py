@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import lcm
 
-from . import perm as P
+from . import lifting, perm as P
 from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_of, cusp_orbits
 from .errors import (
     FormulaMismatch,
@@ -507,20 +507,9 @@ def component_dossier(
     lift = None
     if extension is not None:
         rep = NielsenTuple(orbit.group, orbit.members[0])
-        lift = _orbit_lifting_invariant(extension, rep)
+        lift = lifting.lifting_invariant(extension, rep.perms)
     screen = congruence_screen(orbit, lift)
     return ComponentDossier(
         orbit, orbit_number, orbit.size, gdata, tuple(cusps), shinc, lift, screen
     )
 
-
-def _orbit_lifting_invariant(
-    extension: CentralExtension, rep: NielsenTuple
-) -> LiftInvariant | None:
-    from .errors import OrderNotPrime
-    from .lifting import lifting_invariant
-
-    try:
-        return lifting_invariant(extension, rep.perms)
-    except OrderNotPrime:
-        return None

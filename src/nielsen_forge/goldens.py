@@ -98,11 +98,11 @@ def _a5_c34_data():
 
 @lru_cache(maxsize=None)
 def _a5_c53_data():
-    """A5, the tuples of ni(A5, C+-5,3) (r = 3), and the SL(2,5) extension."""
+    """A5, C+-5,3 (r = 3), the tuples of ni(A5, C), and the SL(2,5) extension."""
     A5 = alternating(5)
     C = parse_class_selector(A5, "5+:1,5-:1,3:1")
     _, ext = sl2_cover(5)
-    return A5, tuple(enumerate_nielsen(A5, C)), ext
+    return A5, C, tuple(enumerate_nielsen(A5, C)), ext
 
 
 def criterion_1() -> list[Check]:
@@ -205,8 +205,8 @@ def criterion_4() -> list[Check]:
 
 def criterion_5() -> list[Check]:
     """A5, C+-5,3 in H3 mode: one orbit, invariant +1, member genus 1."""
-    A5, tuples, ext = _a5_c53_data()
-    inner = inner_classes(tuples)
+    A5, C, tuples, ext = _a5_c53_data()
+    inner = inner_classes(A5, C)
     h3 = braid_orbits_r3(inner)
     out = [_check("c5.one-h3-orbit", len(h3), 1)]
     lifts = {
@@ -412,7 +412,7 @@ def criterion_10() -> list[Check]:
         )
     )
     # A5, C+-5,3 in the degree-5 representation: genus 1 everywhere.
-    _, tuples5, ext5 = _a5_c53_data()
+    _, _, tuples5, ext5 = _a5_c53_data()
     blocked = 0
     ok5 = True
     for t in tuples5:
@@ -529,7 +529,7 @@ def criterion_14() -> list[Check]:
                     lifting_invariant(ext, moved.perms).exponent == base
                 )
     out.append(Check("c14.lift-braid-invariance-a4", inv_ok))
-    _, tuples5, ext5 = _a5_c53_data()
+    _, _, tuples5, ext5 = _a5_c53_data()
     inv5_ok = True
     for t in tuples5:
         base = lifting_invariant(ext5, t.perms).exponent

@@ -199,7 +199,7 @@ def partition_orbits(keys, moves, escape: Exception | None = None) -> list[list[
         raise ValueError(f"keys must be range(n), got {keys!r}")
     n = len(keys)
     if any(
-        len(a) != n or min(a, default=0) < 0 or max(a, default=0) >= n
+        len(a) != n or min(a, default=0) < 0 or max(a, default=-1) >= n
         for a in moves
     ):
         raise escape or ValueError("an orbit left the keys")

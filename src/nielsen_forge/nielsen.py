@@ -1,10 +1,10 @@
 """Nielsen classes: enumeration, inner/absolute quotients, rationality.
 
 Tuples live on element IDs of the parent group.  Canonical forms are
-lexicographic minima over simultaneous conjugation, computed stage-wise
-through per-class transporter tables: the first entry is forced to its
-class minimum, after which only the (usually tiny) centralizer of that
-minimum remains to scan.
+lexicographic minima over simultaneous conjugation, computed stage-wise:
+the first entry is forced to its class minimum m, after which only the
+(usually tiny) centralizer of m remains to scan.  One scan of h m h^-1
+over the group gives each class both its transporters to m and Cent(m).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     greedy_generators,
-    orbit_of,
     partition_orbits,
 )
 from .perm import Perm
@@ -83,7 +82,12 @@ class NielsenTuple:
 
 
 class CanonicalContext:
-    """Per-group transporter tables driving tuple canonicalization."""
+    """Per-group transporter tables driving tuple canonicalization.
+
+    A class is prepared on first use by one scan of h m h^-1 over the
+    group, m its minimum: the first h reaching y gives y the transporter
+    h^-1 back to m, and the h fixing m make up Cent(m).
+    """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -99,27 +103,18 @@ class CanonicalContext:
 
     def _prepare_class(self, x: int) -> None:
         g = self.group
-        cls = g.class_of(x)
-        m = cls.member_ids[0]
-        trans = {m: g.identity_id}
-        frontier = [m]
-        while frontier:
-            new = []
-            for y in frontier:
-                ty = trans[y]
-                for gid in g.generator_ids:
-                    z = g.conj(y, gid)
-                    if z not in trans:
-                        # conj(t_y * g^-1) carries z back to the minimum
-                        trans[z] = g.mul(ty, g.inv[gid])
-                        new.append(z)
-            frontier = new
-        for y, t in trans.items():
-            self._class_min[y] = m
-            self._transporter[y] = t
-        self._cent_of_min[m] = [
-            h for h in range(g.order) if g.conj(m, h) == m
-        ]
+        tab = g.mul_table
+        m = g.class_of(x).member_ids[0]
+        cent, trans = [], {m: g.identity_id}
+        for h, hi in enumerate(g.inv):
+            y = tab[tab[h][m]][hi]
+            if y == m:
+                cent.append(h)
+            elif y not in trans:
+                trans[y] = hi
+        self._cent_of_min[m] = cent
+        self._transporter.update(trans)
+        self._class_min.update(dict.fromkeys(trans, m))
 
     def class_min(self, x: int) -> int:
         if x not in self._class_min:
@@ -328,58 +323,50 @@ def _product_one_candidates(
     return _product_one(group, first_choices, middles, pattern[-1].member_set)
 
 
-def enumerate_nielsen(group: FiniteGroup, C: ClassMultiset) -> list[NielsenTuple]:
-    """All tuples in C with product one generating the group.
+def _generating_orbits(group: FiniteGroup, C: ClassMultiset) -> list[list[tuple]]:
+    """Conjugation orbits of the product-one tuples in C that generate the
+    group, each sorted, in order of least member.
 
-    Generation is conjugation-invariant, so it is checked once per
-    conjugation orbit and the verdict applied to the whole orbit.
+    The candidates are listed once, sorted; each generator of the group
+    moves them as one index array for one partition_orbits, and generation
+    is tested once per orbit, as it is conjugation-invariant.  No canonical
+    form is taken, so this stays a reference independent of canon.
     """
     if C.group is not group:
         raise ConfigError("class multiset belongs to a different group")
     if C.r < 3:
         raise ConfigError("Nielsen classes need r >= 3")
-    keep: list[tuple[int, ...]] = []
-    verdict: dict[tuple[int, ...], bool] = {}
-    for pattern in _patterns(C):
-        for ids in _product_one_candidates(group, pattern, pattern[0].member_ids):
-            if ids in verdict:
-                if verdict[ids]:
-                    keep.append(ids)
-                continue
-            ok = generates(group, ids)
-            orbit = _conjugation_orbit(group, ids)
-            for t in orbit:
-                verdict[t] = ok
-            if ok:
-                keep.append(ids)
-    keep.sort()
-    return [NielsenTuple(group, ids) for ids in keep]
-
-
-def _conjugation_orbit(
-    group: FiniteGroup, ids: tuple[int, ...]
-) -> set[tuple[int, ...]]:
-    return orbit_of(
-        ids,
-        lambda t: (tuple(group.conj(x, g) for x in t) for g in group.generator_ids),
+    cands = sorted(
+        chain.from_iterable(
+            _product_one_candidates(group, pattern, pattern[0].member_ids)
+            for pattern in _patterns(C)
+        )
     )
+    pos = {t: i for i, t in enumerate(cands)}
+    moves = []
+    for h in group.generator_ids:
+        conj = [group.conj(x, h) for x in range(group.order)]
+        moves.append([pos[tuple(map(conj.__getitem__, t))] for t in cands])
+    return [
+        [cands[i] for i in orbit]
+        for orbit in partition_orbits(range(len(cands)), moves)
+        if generates(group, cands[orbit[0]])
+    ]
 
 
-def inner_classes(tuples: Sequence[NielsenTuple]) -> list[InnerClass]:
-    """Group tuples from one (G, C) into conjugation classes."""
-    if not tuples:
-        return []
-    group = tuples[0].group
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for t in tuples:
-        if t.ids in seen:
-            continue
-        orbit = _conjugation_orbit(group, t.ids)
-        seen |= orbit
-        out.append(InnerClass(group, min(orbit), len(orbit)))
-    out.sort(key=lambda c: c.canonical)
-    return out
+def enumerate_nielsen(group: FiniteGroup, C: ClassMultiset) -> list[NielsenTuple]:
+    """All tuples in C with product one generating the group, sorted."""
+    tuples = sorted(chain.from_iterable(_generating_orbits(group, C)))
+    return [NielsenTuple(group, ids) for ids in tuples]
+
+
+def inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerClass]:
+    """Conjugation classes of ni(G, C), each held by its least tuple, from
+    the raw tuples: the reference for nielsen_inner_classes."""
+    return [
+        InnerClass(group, orbit[0], len(orbit))
+        for orbit in _generating_orbits(group, C)
+    ]
 
 
 def nielsen_inner_classes(
@@ -398,9 +385,9 @@ def nielsen_inner_classes(
     tuple is its own lexicographic minimum and is not canonicalized; the
     other candidates of a pattern go through one canon_many pass.
     Deduplicating by canonical form gives the same classes as
-    ``inner_classes(enumerate_nielsen(...))``, and generation is tested
-    once per form.  A generating tuple is fixed under conjugation
-    exactly by the center, so every class has orbit size |G| / |Z(G)|.
+    ``inner_classes(group, C)``, and generation is tested once per form.
+    A generating tuple is fixed under conjugation exactly by the center,
+    so every class has orbit size |G| / |Z(G)|.
 
     ``below = (psi, lower canonicals)`` lifts them instead through psi, a
     Frattini cover with C the matched p' classes (``_frattini_lifts``).

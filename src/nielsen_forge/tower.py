@@ -310,7 +310,6 @@ def build_graph(
         levels.append(_level_data(groups[k + 1], C, p, exts[k + 1], below))
     graph = TowerGraph(p, levels)
 
-    orders = [g.element_orders for g in groups]
     for k, lm in enumerate(chain):
         down, up = levels[k], levels[k + 1]
         down_at = _positions(down.orbits)
@@ -324,16 +323,12 @@ def build_graph(
             for uj, ucusp in enumerate(cusp_orbits(uorb)):
                 up_rep = ucusp.member_canonicals[0]
                 i, j = down_at[project_reduced(lm, up_rep)]
-                down_rep = down.orbits[i].members[j]
                 dcusp = (i, down_cusp_of[i][j])
                 graph.cusp_edges.append((k, (ui, uj), dcusp))
                 covered_cusps.add(dcusp)
-                down_mp = orders[k][
-                    groups[k].mul(down_rep[1], down_rep[2])
-                ]
-                up_mp = orders[k + 1][
-                    groups[k + 1].mul(up_rep[1], up_rep[2])
-                ]
+                # classify_cusp checked that mp is one value on each cusp
+                down_mp = down.dossiers[i].cusps[dcusp[1]].ctype.mp
+                up_mp = up.dossiers[ui].cusps[uj].ctype.mp
                 applicable = down_mp % p == 0
                 # p^(u+1) divides up_mp where p^u exactly divides down_mp
                 ok = not applicable or (up_mp // gcd(up_mp, down_mp)) % p == 0

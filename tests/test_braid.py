@@ -105,7 +105,7 @@ def test_reduced_requires_rank_four():
     A4 = alternating(4)
     cls3 = [c for c in A4.conjugacy_classes() if c.element_order == 3]
     C3 = ClassMultiset([(cls3[0], 3)])
-    inner3 = inner_classes(enumerate_nielsen(A4, C3))
+    inner3 = inner_classes(A4, C3)
     with pytest.raises(RankNotFour):
         reduced_classes(inner3)
 
@@ -152,7 +152,7 @@ def test_h3_orbits_a5():
     )
     c3 = [c for c in A5.conjugacy_classes() if c.element_order == 3][0]
     C = ClassMultiset([(c5[0], 1), (c5[1], 1), (c3, 1)])
-    inner = inner_classes(enumerate_nielsen(A5, C))
+    inner = inner_classes(A5, C)
     orbits = braid_orbits_r3(inner)
     assert len(orbits) == 1
     assert orbits[0].size == len(inner)
@@ -505,6 +505,23 @@ def test_absolute_reduced_classes_match_the_per_move_images():
             reduced_canonical(A5, ctx, tuple(map(swap.apply_id, t))) for t in members
         }
         assert images == members
+
+
+def test_absolute_reduced_classes_keep_a_repeated_class_once():
+    # as absolute_classes does with a repeated inner class
+    from nielsen_forge.braid import absolute_reduced_classes
+    from nielsen_forge.config import parse_class_selector
+
+    A5 = alternating(5)
+    swap = _outer_swap(A5, 5)
+    reduced = reduced_classes(
+        nielsen_inner_classes(A5, parse_class_selector(A5, "5+:2,5-:2"))
+    )
+    once = absolute_reduced_classes(reduced, [swap])
+    twice = absolute_reduced_classes(reduced + [reduced[0]], [swap])
+    assert [[c.canonical for c in b] for b in twice] == [
+        [c.canonical for c in b] for b in once
+    ]
 
 
 def test_absolute_reduced_classes_escape_a_list_not_closed_under_the_map():

@@ -318,6 +318,34 @@ def test_invalid_custom_extension_is_a_typed_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "group,classes,prime,extension",
+    [
+        # the lift of the component itself: its entries have order 3 = p
+        (
+            "custom[(1 2 3)(4 5 6)(7 8 9),(1 4 7)(2 5 8)(3 6 9)]",
+            "(1 2 3)(4 5 6)(7 8 9):2,(1 4 7)(2 5 8)(3 6 9):1,"
+            "(1 8 6)(2 9 4)(3 7 5):1",
+            "3",
+            "Heis(3)",
+        ),
+        # the lift of a cusp's pairs: the involutions have order 2 = p
+        ("A(4)", "2:2,3+:1,3-:1", "2", "SL23"),
+    ],
+    ids=["heis3-component", "sl23-cusp"],
+)
+def test_a_lift_of_entries_that_are_not_p_prime_is_an_error(
+    capsys, group, classes, prime, extension
+):
+    code, out, err = run_cli(
+        capsys, "report", "--group", group, "--classes", classes,
+        "--prime", prime, "--extension", extension,
+    )
+    assert code == 30
+    assert "error[OrderNotPrime:30]" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "images,kernel,name,exit_code",
     [
         # (1 2) is odd, so it is no image in A(4)

@@ -441,6 +441,7 @@ def test_partition_orbits_on_index_arrays():
     sw, cyc = [1, 0, 2, 4, 3], [0, 1, 3, 2, 4]
     assert partition_orbits(range(5), (sw, cyc)) == [[0, 1], [2, 3, 4]]
     assert partition_orbits(range(0), ()) == []
+    assert partition_orbits(range(0), ([],)) == []
     with pytest.raises(LookupError):
         partition_orbits(range(5), (sw, [0, 1, 5, 2, 4]), LookupError("escaped"))
     for bad in ([0, 1, 5, 2, 4], [0, 1, -1, 2, 4], [0, 1, 3, 2]):

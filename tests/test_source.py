@@ -130,3 +130,15 @@ def test_one_orbit_record_for_every_rank():
     ]
     assert records == ["BraidOrbit", "CuspOrbit", "MiddleTwistOrbit"]
     assert len(built) == 1
+
+
+def test_orbits_on_classes_and_tuples_are_partitions_of_index_arrays():
+    # every orbit on conjugacy classes, inner classes or raw tuples goes
+    # through partition_orbits; orbit_of is kept for elements and points
+    named = [
+        path.name
+        for path, tree in _library_trees().items()
+        if path.name in ("nielsen.py", "braid.py")
+        and "orbit_of" in _names_used(tree)
+    ]
+    assert named == []
