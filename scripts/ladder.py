@@ -34,6 +34,7 @@ LADDER = [
      "--prime", "5"],
     ["tower", "--chain", "V2xPM(3),V2xPM(9),V2xPM(27)", "--classes", "2:4",
      "--prime", "3"],
+    ["report", "--group", "V2xPM(27)", "--classes", "2:4", "--prime", "3"],
 ]
 
 SETUP_NAMES = (
