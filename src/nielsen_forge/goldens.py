@@ -24,7 +24,6 @@ from .braid import (
 from .config import parse_class_selector
 from .cusps import (
     classify_cusp,
-    component_dossier,
     cover_genus,
     matrices_match_up_to_relabeling,
     middle_twist_orbit,
@@ -57,6 +56,7 @@ from .presets import (
     v2_pm,
     v2_z3,
 )
+from .report import run_pipeline
 from .tower import LevelMap, build_graph, level_fiber, match_classes
 
 
@@ -73,27 +73,20 @@ def _check(name: str, got, expect) -> Check:
 
 @lru_cache(maxsize=None)
 def _a4_data():
+    """A4, C+-3^2, the SL(2,3) extension and its level-0 pipeline at p = 2."""
     A4 = alternating(4)
     C = parse_class_selector(A4, "3+:2,3-:2")
-    inner = nielsen_inner_classes(A4, C)
-    reduced = reduced_classes(inner)
-    orbits = braid_orbits(reduced)
     _, ext = sl2_cover(3)
-    dossiers = [
-        component_dossier(o, i + 1, 2, ext) for i, o in enumerate(orbits)
-    ]
-    return A4, C, inner, reduced, orbits, ext, dossiers
+    return A4, C, ext, run_pipeline(A4, C, 2, ext)
 
 
 @lru_cache(maxsize=None)
 def _a5_c34_data():
+    """A5, C3^4 through the pipeline at p = 2 with the SL(2,5) extension."""
     A5 = alternating(5)
     C = parse_class_selector(A5, "3:4")
-    inner = nielsen_inner_classes(A5, C)
-    reduced = reduced_classes(inner)
-    orbits = braid_orbits(reduced)
     _, ext = sl2_cover(5)
-    return A5, C, inner, reduced, orbits, ext
+    return run_pipeline(A5, C, 2, ext)
 
 
 @lru_cache(maxsize=None)
@@ -107,10 +100,11 @@ def _a5_c53_data():
 
 def criterion_1() -> list[Check]:
     """A4 level 0: orbit sizes, widths, genera, invariants, Q'' lengths."""
-    _, _, inner, reduced, orbits, ext, dossiers = _a4_data()
+    res = _a4_data()[3]
+    orbits, dossiers = res.orbits, res.dossiers
     out = [
-        _check("c1.inner-classes", len(inner), 30),
-        _check("c1.reduced-classes", len(reduced), 15),
+        _check("c1.inner-classes", res.inner_count, 30),
+        _check("c1.reduced-classes", res.reduced_count, 15),
         _check("c1.orbit-sizes", [o.size for o in orbits], [9, 6]),
         _check("c1.widths", [d.widths for d in dossiers], [[2, 3, 4], [1, 1, 4]]),
         _check("c1.genera", [d.genus for d in dossiers], [0, 0]),
@@ -130,9 +124,8 @@ TABLE_MINUS = ((2, 1, 1), (1, 0, 0), (1, 0, 0))
 
 def criterion_2() -> list[Check]:
     """sh-incidence equals the printed tables up to simultaneous relabeling."""
-    _, _, _, _, orbits, _, dossiers = _a4_data()
     out = []
-    for d, table, tag in zip(dossiers, (TABLE_PLUS, TABLE_MINUS), "+-"):
+    for d, table, tag in zip(_a4_data()[3].dossiers, (TABLE_PLUS, TABLE_MINUS), "+-"):
         m = d.sh_matrix
         out.append(
             Check(
@@ -151,8 +144,7 @@ def criterion_2() -> list[Check]:
 
 def criterion_3() -> list[Check]:
     """Fixed points of gamma_1 / gamma_0 on the two A4 orbits."""
-    _, _, _, _, orbits, _, _ = _a4_data()
-    plus, minus = orbits
+    plus, minus = _a4_data()[3].orbits
 
     def fixed(perm):
         return sum(1 for i, x in enumerate(perm) if x == i)
@@ -173,30 +165,25 @@ def criterion_4() -> list[Check]:
     forming one width-2 g-2' cusp.  Widths {1,1,3,3,5,5} on 18 classes in
     one orbit are Riemann-Hurwitz-impossible (README, "Known discrepancies").
     """
-    _, _, inner, reduced, orbits, ext = _a5_c34_data()
+    res = _a5_c34_data()
     out = [
-        _check("c4.one-orbit", len(orbits), 1),
-        _check("c4.reduced-classes", len(reduced), 18),
+        _check("c4.one-orbit", len(res.orbits), 1),
+        _check("c4.reduced-classes", res.reduced_count, 18),
     ]
-    orbit = orbits[0]
-    cusps = cusp_orbits(orbit)
-    widths = sorted(c.width for c in cusps)
+    cusps, widths = res.dossiers[0].cusps, res.dossiers[0].widths
     out.append(_check("c4.widths-as-stated", widths, [1, 1, 3, 3, 5, 5]))
-    types = [classify_cusp(c, 2, ext) for c in cusps]
-    width1_shift_hm = [
-        c for c, t in zip(cusps, types) if c.width == 1 and t.is_shift_of_hm
-    ]
+    width1_shift_hm = [c for c in cusps if c.width == 1 and c.ctype.is_shift_of_hm]
     out.append(_check("c4.two-width-1-shift-of-hm-as-stated", len(width1_shift_hm), 2))
     out.append(_check("c4.computed-widths", widths, [2, 3, 3, 5, 5]))
-    shift_hm = [(c.width, t.kind) for c, t in zip(cusps, types) if t.is_shift_of_hm]
+    shift_hm = [(c.width, c.ctype.kind) for c in cusps if c.ctype.is_shift_of_hm]
     out.append(_check("c4.shift-of-hm-cusp", shift_hm, [(2, "g-p'")]))
     out.append(
-        _check("c4.no-2-cusps", [t.kind for t in types if t.kind == "p"], [])
+        _check("c4.no-2-cusps", [c.ctype.kind for c in cusps if c.ctype.kind == "p"], [])
     )
     out.append(
         _check(
             "c4.hm-widths",
-            sorted(c.width for c, t in zip(cusps, types) if t.is_hm),
+            sorted(c.width for c in cusps if c.ctype.is_hm),
             [5, 5],
         )
     )
@@ -321,35 +308,27 @@ def criterion_8() -> list[Check]:
         out.append(Check(f"c8.p{p}.hm-exists", found))
     # p = 2: the group is A4 in disguise; the level-0 numbers must agree.
     G2 = v2_z3(2)
-    C2 = parse_class_selector(G2, "3+:2,3-:2")
-    orbits = braid_orbits(reduced_classes(nielsen_inner_classes(G2, C2)))
-    out.append(_check("c8.p2.orbit-sizes", [o.size for o in orbits], [9, 6]))
+    res = run_pipeline(G2, parse_class_selector(G2, "3+:2,3-:2"), 2)
+    out.append(_check("c8.p2.orbit-sizes", [o.size for o in res.orbits], [9, 6]))
     out.append(
-        _check(
-            "c8.p2.widths",
-            [sorted(c.width for c in cusp_orbits(o)) for o in orbits],
-            [[2, 3, 4], [1, 1, 4]],
-        )
+        _check("c8.p2.widths", [d.widths for d in res.dossiers], [[2, 3, 4], [1, 1, 4]])
     )
     return out
 
 
 def criterion_9() -> list[Check]:
     """SL(2,3) braid orbits project onto exactly the s=+1 orbit of A4."""
-    A4, C, _, _, orbits_down, ext, dossiers = _a4_data()
+    _, C, ext, down = _a4_data()
     lm = LevelMap(ext.proj, 2)
-    C_up = match_classes(lm, C)
-    orbits_up = braid_orbits(
-        reduced_classes(nielsen_inner_classes(ext.R, C_up))
-    )
+    orbits_up = run_pipeline(ext.R, match_classes(lm, C), 2).orbits
     out = [_check("c9.upstairs-orbit-count", len(orbits_up), 1)]
-    fibers = [len(level_fiber(lm, orbits_up, od)) for od in orbits_down]
+    fibers = [len(level_fiber(lm, orbits_up, od)) for od in down.orbits]
     out.append(_check("c9.fiber-over-plus", fibers[0] > 0, True))
     out.append(_check("c9.fiber-over-minus", fibers[1], 0))
     out.append(
         _check(
             "c9.matches-invariants",
-            [str(d.lift) for d in dossiers],
+            [str(d.lift) for d in down.dossiers],
             ["+1", "-1"],
         )
     )
@@ -358,7 +337,7 @@ def criterion_9() -> list[Check]:
 
 def criterion_10() -> list[Check]:
     """Spin closed form vs extension invariant; FP3 everywhere applicable."""
-    A4, C, _, _, _, ext, _ = _a4_data()
+    A4, C, ext, _ = _a4_data()
     tuples = enumerate_nielsen(A4, C)
     out = []
     # Degree-4 tuples all have cover genus 1, so the closed form must
@@ -486,9 +465,8 @@ def criterion_12() -> list[Check]:
 
 def criterion_13() -> list[Check]:
     """Both A4 components fail the congruence screen."""
-    _, _, _, _, _, _, dossiers = _a4_data()
     out = []
-    for d, tag, level in zip(dossiers, ("plus", "minus"), (12, 4)):
+    for d, tag, level in zip(_a4_data()[3].dossiers, ("plus", "minus"), (12, 4)):
         s = d.screen
         out.append(_check(f"c13.{tag}-level", s.level, level))
         out.append(_check(f"c13.{tag}-verdict", s.verdict, "fails"))
@@ -498,7 +476,7 @@ def criterion_13() -> list[Check]:
 def criterion_14() -> list[Check]:
     """Property suites: relations, invariance, constancy, formulas."""
     out = []
-    A4, C, _, _, orbits, ext, _ = _a4_data()
+    A4, C, ext, res = _a4_data()
     tuples = enumerate_nielsen(A4, C)
     # braid relation q1 q2 q1 = q2 q1 q2 on every tuple
     rel_ok = all(
@@ -508,9 +486,9 @@ def criterion_14() -> list[Check]:
     )
     out.append(Check("c14.braid-relation", rel_ok, f"{len(tuples)} tuples"))
     # gamma relations per orbit (A4 plus A5 C3^4)
-    _, _, _, _, orbits5, _ = _a5_c34_data()
+    orbits = res.orbits + _a5_c34_data().orbits
     gamma_ok = True
-    for o in list(orbits) + list(orbits5):
+    for o in orbits:
         n = o.size
         ident = tuple(range(n))
         g0, g1, gi = o.gamma_0, o.gamma_1, o.gamma_inf
@@ -542,7 +520,7 @@ def criterion_14() -> list[Check]:
     # cusp-type constancy over cusp orbits (classify_cusp raises otherwise)
     constancy = True
     try:
-        for o in list(orbits) + list(orbits5):
+        for o in orbits:
             for c in cusp_orbits(o):
                 classify_cusp(c, 2)
     except Exception:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import perm as P
 from .braid import BraidOrbit, braid_orbits, braid_orbits_r3, reduced_classes
-from .cusps import ComponentDossier, component_dossier
+from .cusps import ComponentDossier, CuspSummary, component_dossier
 from .errors import ConfigError
 from .groups import FiniteGroup
 from .lifting import CentralExtension, lifting_invariant
@@ -20,6 +20,8 @@ JSON_SCHEMA = "v1"
 
 @dataclass
 class PipelineResult:
+    """One level of a tower, or the whole of a report."""
+
     group: FiniteGroup
     classes: ClassMultiset
     prime: int
@@ -29,6 +31,12 @@ class PipelineResult:
     h3_orbits: list[BraidOrbit] | None = None
     h3_lifts: list[str] | None = None
 
+    @property
+    def orbits(self) -> list[BraidOrbit]:
+        if self.h3_orbits is not None:
+            return self.h3_orbits
+        return [d.orbit for d in self.dossiers]
+
 
 def run_pipeline(
     group: FiniteGroup,
@@ -37,14 +45,19 @@ def run_pipeline(
     extension: CentralExtension | None = None,
     *,
     r3: bool = False,
+    below: tuple | None = None,
 ) -> PipelineResult:
     """enumerate -> reduce -> orbits -> cusps -> genus -> classify -> screen.
 
     r = 3 classes give H3 orbits instead; r3=True only checks that r = 3.
+    ``below = (psi, lower canonicals)`` lifts the inner classes from the
+    level below, as in ``nielsen_inner_classes``.
     """
     if r3 and C.r != 3:
         raise ConfigError(f"--r3 needs r = 3 classes, got r = {C.r}")
-    inner = nielsen_inner_classes(group, C)
+    if extension is not None and extension.p != p:
+        raise ConfigError(f"the extension has p = {extension.p}, not p = {p}")
+    inner = nielsen_inner_classes(group, C, below)
     if C.r == 3:
         orbits = braid_orbits_r3(inner)
         lifts = None
@@ -133,6 +146,18 @@ def render_markdown(result: PipelineResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cusp_json(c: CuspSummary) -> dict:
+    """The cusp keys that report and tower JSON share."""
+    return {
+        "label": c.label,
+        "width": c.width,
+        "kind": c.ctype.kind,
+        "mp": c.ctype.mp,
+        "hm": c.ctype.is_hm,
+        "shift_of_hm": c.ctype.is_shift_of_hm,
+    }
+
+
 def render_json(result: PipelineResult) -> str:
     g = result.group
     doc: dict = {
@@ -185,12 +210,7 @@ def render_json(result: PipelineResult) -> str:
                 "lifting_invariant": str(d.lift) if d.lift else None,
                 "cusps": [
                     {
-                        "label": c.label,
-                        "width": c.width,
-                        "kind": c.ctype.kind,
-                        "mp": c.ctype.mp,
-                        "hm": c.ctype.is_hm,
-                        "shift_of_hm": c.ctype.is_shift_of_hm,
+                        **cusp_json(c),
                         "weigel_candidate": c.ctype.weigel_candidate,
                         "provenance": {
                             "width": "gamma_inf orbit size on reduced classes",

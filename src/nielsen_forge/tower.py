@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
+# braid_orbits, reduced_classes, component_dossier and nielsen_inner_classes
+# are not called here: perfbench/spans.py still wraps them on this module
 from .braid import BraidOrbit, braid_orbits, cusp_of, cusp_orbits, reduced_classes
-from .cusps import ComponentDossier, component_dossier
+from .cusps import component_dossier
 from .errors import ConfigError, MultiplePrimeClasses, NotPGroupKernel
 from .groups import FiniteGroup, GroupHom, is_p_power
 from .lifting import CentralExtension, is_frattini_cover
 from .nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
+from .report import PipelineResult, cusp_json, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -146,19 +149,11 @@ class CuspPersistenceCheck:
 
 
 @dataclass
-class TowerLevel:
-    group: FiniteGroup
-    classes: ClassMultiset
-    orbits: list[BraidOrbit]
-    dossiers: list[ComponentDossier]
-
-
-@dataclass
 class TowerGraph:
     """Level-to-level component and cusp graphs of a finite tower."""
 
     p: int
-    levels: list[TowerLevel]
+    levels: list[PipelineResult]
     component_edges: list[tuple[int, int, int]] = field(default_factory=list)
     cusp_edges: list[tuple[int, tuple[int, int], tuple[int, int]]] = field(
         default_factory=list
@@ -179,17 +174,7 @@ class TowerGraph:
                         "genus": d.genus,
                         "widths": d.widths,
                         "lifting_invariant": str(d.lift) if d.lift else None,
-                        "cusps": [
-                            {
-                                "label": c.label,
-                                "width": c.width,
-                                "kind": c.ctype.kind,
-                                "mp": c.ctype.mp,
-                                "hm": c.ctype.is_hm,
-                                "shift_of_hm": c.ctype.is_shift_of_hm,
-                            }
-                            for c in d.cusps
-                        ],
+                        "cusps": [cusp_json(c) for c in d.cusps],
                     }
                 )
             levels.append(
@@ -257,21 +242,6 @@ class TowerGraph:
         return "\n".join(lines) + "\n"
 
 
-def _level_data(
-    group: FiniteGroup,
-    C: ClassMultiset,
-    p: int,
-    extension: CentralExtension | None,
-    below: tuple | None = None,
-) -> TowerLevel:
-    inner = nielsen_inner_classes(group, C, below)
-    orbits = braid_orbits(reduced_classes(inner))
-    dossiers = [
-        component_dossier(orb, i + 1, p, extension) for i, orb in enumerate(orbits)
-    ]
-    return TowerLevel(group, C, orbits, dossiers)
-
-
 def build_graph(
     chain: Sequence[LevelMap],
     base_classes: ClassMultiset,
@@ -302,12 +272,12 @@ def build_graph(
     if len(exts) != len(groups):
         raise ConfigError("need one (possibly null) extension per level")
 
-    levels = [_level_data(groups[0], base_classes, p, exts[0])]
+    levels = [run_pipeline(groups[0], base_classes, p, exts[0])]
     for k, lm in enumerate(chain):
         C = transfer_classes(match_classes(lm, levels[k].classes), groups[k + 1])
         lower = (t for o in levels[k].orbits for c in o.classes for t in c.inner_canonicals)
         below = (lm.psi, lower) if is_frattini_cover(lm.psi) else None
-        levels.append(_level_data(groups[k + 1], C, p, exts[k + 1], below))
+        levels.append(run_pipeline(groups[k + 1], C, p, exts[k + 1], below=below))
     graph = TowerGraph(p, levels)
 
     for k, lm in enumerate(chain):

@@ -370,20 +370,25 @@ def test_extension_permutation_outside_its_group(
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--group", "A(4)", "--classes", "(1 9):4", "--prime", "2"),
-        ("--group", "A(4)", "--classes", "(1 2 x):4", "--prime", "2"),
-        ("--group", "custom[(1 2)(2 3)]", "--classes", "2:3", "--prime", "2"),
+        ("report", "--group", "A(4)", "--classes", "(1 9):4", "--prime", "2"),
+        ("report", "--group", "A(4)", "--classes", "(1 2 x):4", "--prime", "2"),
+        ("report", "--group", "custom[(1 2)(2 3)]", "--classes", "2:3", "--prime", "2"),
         (
-            "--group", "D(3)", "--classes", "2:4", "--prime", "3", "--extension",
-            "R=D(6); images=(1 2 3),(2 9); kernel=(1 4)(2 5)(3 6); p=3",
+            "report", "--group", "D(3)", "--classes", "2:4", "--prime", "3",
+            "--extension", "R=D(6); images=(1 2 3),(2 9); kernel=(1 4)(2 5)(3 6); p=3",
         ),
-        ("--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "2", "--r3"),
+        ("report", "--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "2", "--r3"),
+        # SL23 is an extension for p = 2 only
+        ("report", "--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "3",
+         "--extension", "SL23"),
+        ("lift", "--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "5",
+         "--extension", "SL23"),
     ],
     ids=["point-past-degree", "non-integer-point", "overlapping-cycles",
-         "bad-extension-image", "r3-with-r4"],
+         "bad-extension-image", "r3-with-r4", "extension-prime-3", "extension-prime-5"],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
-    code, _, err = run_cli(capsys, "report", *argv)
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert re.match(r"error\[(ConfigError|BadPermutation):2\]", err)
     assert "Traceback" not in err

@@ -142,3 +142,25 @@ def test_orbits_on_classes_and_tuples_are_partitions_of_index_arrays():
         and "orbit_of" in _names_used(tree)
     ]
     assert named == []
+
+
+def _calls(tree) -> set:
+    """Names called in tree, as bare names or as attributes."""
+    return {
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_level_is_built_by_run_pipeline():
+    # a report and each tower level go enumerate -> reduce -> orbits ->
+    # dossiers through report.run_pipeline alone
+    trees = {path.name: tree for path, tree in _library_trees().items()}
+    stages = {"nielsen_inner_classes", "reduced_classes", "braid_orbits", "component_dossier"}
+    assert _calls(trees["tower.py"]) & stages == set()
+    assert "run_pipeline" in _calls(trees["tower.py"])
+    dossier_callers = [
+        name for name, tree in trees.items() if "component_dossier" in _calls(tree)
+    ]
+    assert dossier_callers == ["report.py"]

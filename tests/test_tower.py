@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nielsen_forge import tower
+from nielsen_forge import report
 from nielsen_forge.braid import braid_orbits, reduced_classes
 from nielsen_forge.config import parse_class_selector
 from nielsen_forge.errors import ConfigError, NotPGroupKernel
@@ -204,14 +204,15 @@ def test_frattini_lift_canonicalizes_once_per_candidate(classes):
 
 
 def _spy_on_lifts(monkeypatch):
+    # every level is enumerated by report.run_pipeline
     lifted = []
-    enumerate_ = tower.nielsen_inner_classes
+    enumerate_ = report.nielsen_inner_classes
 
     def spy(group, C, below=None):
         lifted.append(below is not None)
         return enumerate_(group, C, below)
 
-    monkeypatch.setattr(tower, "nielsen_inner_classes", spy)
+    monkeypatch.setattr(report, "nielsen_inner_classes", spy)
     return lifted
 
 
@@ -233,3 +234,15 @@ def test_split_cover_is_enumerated_directly(monkeypatch):
     assert lifted == [False, False]
     assert g.levels[1].orbits == []
     assert g.obstructed == [(0, 0), (0, 1)]
+
+
+def test_an_extension_for_another_prime_is_refused_before_enumerating(monkeypatch):
+    # SL(2,3) -> A4 has a kernel of order 2, so its lifts mean nothing at p = 3
+    lifted = _spy_on_lifts(monkeypatch)
+    _, ext = sl2_cover(3)
+    C = parse_class_selector(ext.G, "3+:2,3-:2")
+    with pytest.raises(ConfigError, match="the extension has p = 2, not p = 3"):
+        report.run_pipeline(ext.G, C, 3, ext)
+    with pytest.raises(ConfigError, match="the extension has p = 2, not p = 3"):
+        build_graph([], C, 3, extensions=[ext])
+    assert lifted == []
