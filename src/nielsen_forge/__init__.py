@@ -66,6 +66,6 @@ from .nielsen import (
 )
 from .perm import compose, conjugate, cycles, format_cycles, inverse, parse
 from .report import run_pipeline
-from .tower import LevelMap, TowerGraph, build_graph, level_fiber, match_classes
+from .tower import LevelMap, TowerGraph, build_graph, match_classes
 
 __version__ = "0.1.0"

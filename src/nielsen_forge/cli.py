@@ -298,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     except ForgeError as exc:
         print(f"error[{type(exc).__name__}:{exc.code}]: {exc}", file=sys.stderr)
         return exc.code
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .groups import orbit_of, perm_group_order
 from .lifting import (
     CentralExtension,
     LiftInvariant,
-    PairFactorization,
     factor_through_pairs,
 )
 from .nielsen import NielsenTuple, canonical_context
@@ -42,8 +41,6 @@ O_PRIME = "o-p'"
 class MiddleTwistOrbit:
     """Orbit data of (a,b) -> (a b a^-1, a): gamma^2 length o, gamma length o'."""
 
-    a: Perm
-    b: Perm
     o: int
     o_prime: int
 
@@ -78,7 +75,7 @@ def middle_twist_orbit(a: Perm, b: Perm) -> MiddleTwistOrbit:
     if a == b:
         if (o_iter, o_prime_iter) != (1, 1):
             raise FormulaMismatch("equal pair must have o = o' = 1")
-        return MiddleTwistOrbit(a, b, 1, 1)
+        return MiddleTwistOrbit(1, 1)
     g3 = P.compose(a, b)
     n = P.order(g3)
     powers = []
@@ -107,7 +104,7 @@ def middle_twist_orbit(a: Perm, b: Perm) -> MiddleTwistOrbit:
             f"middle twist: iteration gives (o,o')=({o_iter},{o_prime_iter}), "
             f"formula gives o={o_formula}"
         )
-    return MiddleTwistOrbit(a, b, o_iter, o_prime_iter)
+    return MiddleTwistOrbit(o_iter, o_prime_iter)
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,6 @@ class CuspType:
     is_hm: bool
     is_shift_of_hm: bool
     weigel_candidate: bool | None = None
-    factorization: PairFactorization | None = None
 
     def label(self) -> str:
         flags = []
@@ -190,14 +186,13 @@ def classify_cusp(
         )
     mp = mps.pop()
     weigel: bool | None = None
-    factorization: PairFactorization | None = None
     if extension is not None and kind == O_PRIME:
         rep = cusp.member_canonicals[0]
         factorization = factor_through_pairs(
             extension, tuple(group.perm(i) for i in rep), p
         )
         weigel = factorization.s23.is_trivial and factorization.s14.is_trivial
-    return CuspType(mp, kind, is_hm, is_shift, weigel, factorization)
+    return CuspType(mp, kind, is_hm, is_shift, weigel)
 
 
 @dataclass(frozen=True)
@@ -323,8 +318,7 @@ class CurveEntry:
     monodromy_order: int
 
     def label(self) -> str:
-        names = {"X": "X", "X0": "X0", "X1": "X1"}
-        return f"{names[self.family]}({self.level})"
+        return f"{self.family}({self.level})"
 
 
 _table_cache: list[CurveEntry] | None = None
@@ -359,7 +353,6 @@ class ScreenResult:
     matches: tuple[str, ...]
     reason: str
     monodromy_order: int | None
-    monodromy_checked: bool
     obstructed: bool = False
 
 
@@ -410,7 +403,6 @@ def congruence_screen(
             f"no X/X0/X1 at a level dividing {level} has degree {orbit.size} "
             f"with widths {widths}",
             None,
-            False,
         )
     order = None
     checked = False
@@ -430,7 +422,6 @@ def congruence_screen(
                 f"monodromy order {shown} matches no width-compatible curve "
                 f"({', '.join(e.label() for e in candidates)})",
                 order,
-                True,
             )
         candidates = surviving
     if lift is not None and not lift.is_trivial:
@@ -442,7 +433,6 @@ def congruence_screen(
             "lies above it at the next level; width-compatible curves "
             f"({', '.join(e.label() for e in candidates)}) are excluded",
             order,
-            checked,
             obstructed=True,
         )
     note = (
@@ -457,7 +447,6 @@ def congruence_screen(
         tuple(e.label() for e in candidates),
         note,
         order,
-        checked,
     )
 
 

@@ -57,7 +57,7 @@ from .presets import (
     v2_z3,
 )
 from .report import run_pipeline
-from .tower import LevelMap, build_graph, level_fiber, match_classes
+from .tower import LevelMap, build_graph
 
 
 @dataclass(frozen=True)
@@ -319,12 +319,11 @@ def criterion_8() -> list[Check]:
 def criterion_9() -> list[Check]:
     """SL(2,3) braid orbits project onto exactly the s=+1 orbit of A4."""
     _, C, ext, down = _a4_data()
-    lm = LevelMap(ext.proj, 2)
-    orbits_up = run_pipeline(ext.R, match_classes(lm, C), 2).orbits
-    out = [_check("c9.upstairs-orbit-count", len(orbits_up), 1)]
-    fibers = [len(level_fiber(lm, orbits_up, od)) for od in down.orbits]
-    out.append(_check("c9.fiber-over-plus", fibers[0] > 0, True))
-    out.append(_check("c9.fiber-over-minus", fibers[1], 0))
+    graph = build_graph([LevelMap(ext.proj, 2)], C, 2)
+    out = [_check("c9.upstairs-orbit-count", len(graph.levels[1].orbits), 1)]
+    downs = [d for _, _, d in graph.component_edges]
+    out.append(_check("c9.fiber-over-plus", downs.count(0) > 0, True))
+    out.append(_check("c9.fiber-over-minus", downs.count(1), 0))
     out.append(
         _check(
             "c9.matches-invariants",

@@ -48,10 +48,9 @@ def parse_group_spec(text: str) -> GroupSpec:
     if not m:
         raise ConfigError(f"unrecognized group spec {text!r}")
     kind, param = m.group(1), int(m.group(2))
-    table = {"A": 3, "S": 2, "D": 3, "V2xPM": 3, "V2xZ3": 2, "Heis": 2}
-    if kind not in table:
+    if kind not in _FAMILIES:
         raise ConfigError(f"unknown group family {kind!r} in {text!r}")
-    if param < table[kind]:
+    if param < _FAMILIES[kind][0]:
         raise ConfigError(f"{kind}({param}): parameter too small")
     return GroupSpec(kind, param)
 
@@ -198,31 +197,30 @@ def sl2_cover(q: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExten
     return R, ext
 
 
+# kind -> (least parameter, constructor); a constructor that returns a
+# (group, extension) pair names a cover of the extension's target
+_FAMILIES = {
+    "A": (3, alternating),
+    "S": (2, symmetric),
+    "D": (3, dihedral),
+    "V2xPM": (3, v2_pm),
+    "V2xZ3": (2, v2_z3),
+    "Heis": (2, heisenberg),
+}
+
+
 def make_group(
     spec: GroupSpec, cap: int | None = None
 ) -> tuple[FiniteGroup, CentralExtension | None]:
-    """Realize a GroupSpec; double covers/Heisenberg come with their extension."""
-    if spec.kind == "A":
-        return alternating(spec.param, cap), None
-    if spec.kind == "S":
-        return symmetric(spec.param, cap), None
-    if spec.kind == "D":
-        return dihedral(spec.param, cap), None
-    if spec.kind == "V2xPM":
-        return v2_pm(spec.param, cap), None
-    if spec.kind == "V2xZ3":
-        return v2_z3(spec.param, cap), None
-    if spec.kind == "Heis":
-        return heisenberg(spec.param, cap)
-    if spec.kind == "SL23":
-        return sl2_cover(3, cap)
-    if spec.kind == "SL25":
-        return sl2_cover(5, cap)
+    """Realize a GroupSpec; a cover comes with its extension."""
     if spec.kind == "custom":
         degree = max(len(P.parse(s)) for s in spec.custom_gens)
         gens = [P.parse(s, degree) for s in spec.custom_gens]
         return generate(gens, cap, name="custom"), None
-    raise ConfigError(f"unhandled group spec {spec!r}")
+    if spec.kind in ("SL23", "SL25"):
+        return sl2_cover(int(spec.kind[3:]), cap)
+    built = _FAMILIES[spec.kind][1](spec.param, cap)
+    return built if isinstance(built, tuple) else (built, None)
 
 
 def group_from_string(
@@ -270,21 +268,18 @@ def gl2_automorphisms(m: int, group: FiniteGroup | None = None) -> list[GroupHom
     return homs
 
 
-# family -> (constructor, chain name); the level maps of a chain send the
-# generators of a level to the generators of the level below
-_CHAIN_FAMILIES = {"D": (dihedral, "dihedral"), "V2xPM": (v2_pm, "lattice")}
-
-
 def _family_chain(
     parsed: list[GroupSpec], cap: int | None = None
 ) -> tuple[list[FiniteGroup], list[GroupHom]]:
-    """Groups and level maps of a base-first D or V2xPM chain, shared instances."""
-    make, name = _CHAIN_FAMILIES[parsed[0].kind]
-    groups = [make(p.param, cap) for p in parsed]
+    """Groups and level maps of a base-first chain in one family, shared
+    instances; a level map sends the generators of a level to the
+    generators of the level below."""
+    make = _FAMILIES[parsed[0].kind][1]
+    groups = [make(s.param, cap) for s in parsed]
     homs = []
     for small, big, g_small, g_big in zip(parsed, parsed[1:], groups, groups[1:]):
         if big.param % small.param:
-            raise ConfigError(f"{name} chain needs m_k | m_{{k+1}}")
+            raise ConfigError(f"{small.kind} chain needs m_k | m_{{k+1}}")
         homs.append(hom(g_big, g_small, g_small.generators))
     return groups, homs
 
@@ -295,21 +290,19 @@ def chain_from_specs(
     """Level maps for a base-first chain of group specs.
 
     Supported: dihedral chains D(m0),D(m1),... with m_k | m_{k+1};
-    lattice chains V2xPM(...); and the two-level double covers
-    A(4),SL23 and A(5),SL25.
+    lattice chains V2xPM(...); and the two-level double covers A(n),SL2q
+    where SL(2,q) covers A(n).
     """
     parsed = [parse_group_spec(s) for s in specs]
     if len(parsed) < 2:
         raise ConfigError("a tower chain needs at least two levels")
-    if len({p.kind for p in parsed}) == 1 and parsed[0].kind in _CHAIN_FAMILIES:
+    if len({s.kind for s in parsed}) == 1 and parsed[0].kind in ("D", "V2xPM"):
         groups, homs = _family_chain(parsed, cap)
         return groups[0], homs
-    if [p.kind for p in parsed] == ["A", "SL23"] and parsed[0].param == 4:
-        _, ext = sl2_cover(3, cap)
-        return ext.G, [ext.proj]
-    if [p.kind for p in parsed] == ["A", "SL25"] and parsed[0].param == 5:
-        _, ext = sl2_cover(5, cap)
-        return ext.G, [ext.proj]
+    if len(parsed) == 2 and parsed[1].kind in ("SL23", "SL25"):
+        _, ext = make_group(parsed[1], cap)
+        if parsed[0] == GroupSpec("A", ext.G.degree):
+            return ext.G, [ext.proj]
     raise ConfigError(
         "unsupported chain; use a dihedral or V2xPM family, or A(4),SL23 / A(5),SL25"
     )
@@ -337,7 +330,7 @@ def extension_from_string(
         if missing:
             raise ConfigError(f"extension spec missing {sorted(missing)}")
         p = require_prime(fields["p"], "the extension's p")
-        R, _ = make_group(parse_group_spec(fields["R"]), cap)
+        R, _ = group_from_string(fields["R"], cap)
         images = [
             P.parse(s.strip(), target.degree)
             for s in re.findall(r"(?:\([^()]*\))+", fields["images"])
@@ -345,14 +338,10 @@ def extension_from_string(
         proj = hom(R, target, images)
         kernel_gen = P.parse(fields["kernel"], R.degree)
         return CentralExtension(R, target, proj, kernel_gen, p)
-    spec = parse_group_spec(body)
-    if spec.kind == "SL23":
-        return sl2_cover(3, cap)[1]
-    if spec.kind == "SL25":
-        return sl2_cover(5, cap)[1]
-    if spec.kind == "Heis":
-        return heisenberg(spec.param, cap)[1]
-    raise ConfigError(f"no central extension named {text!r}")
+    _, ext = group_from_string(body, cap)
+    if ext is None:
+        raise ConfigError(f"no central extension named {text!r}")
+    return ext
 
 
 def direct_product_with_cyclic(

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from . import perm as P
 from .braid import BraidOrbit, braid_orbits, braid_orbits_r3, reduced_classes
 from .cusps import ComponentDossier, CuspSummary, component_dossier
-from .errors import ConfigError
+from .errors import ConfigError, RankNotFour
 from .groups import FiniteGroup
 from .lifting import CentralExtension, lifting_invariant
-from .nielsen import ClassMultiset, NielsenTuple, nielsen_inner_classes
+from .nielsen import ClassMultiset, NielsenTuple, canonical_context, nielsen_inner_classes
 
 JSON_SCHEMA = "v1"
 
@@ -55,6 +55,8 @@ def run_pipeline(
     """
     if r3 and C.r != 3:
         raise ConfigError(f"--r3 needs r = 3 classes, got r = {C.r}")
+    if C.r not in (3, 4):
+        raise RankNotFour(f"pipelines run on r = 3 or r = 4 classes, got r = {C.r}")
     if extension is not None and extension.p != p:
         raise ConfigError(f"the extension has p = {extension.p}, not p = {p}")
     inner = nielsen_inner_classes(group, C, below)
@@ -87,8 +89,6 @@ def _tuple_str(group: FiniteGroup, ids) -> str:
 
 def _class_pattern(group: FiniteGroup, ids) -> str:
     """Class-assignment pattern of a tuple, by class representatives."""
-    from .nielsen import canonical_context
-
     ctx = canonical_context(group)
     return ", ".join(
         P.format_cycles(group.perm(ctx.class_min(x))) for x in ids

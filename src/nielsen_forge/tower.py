@@ -17,7 +17,7 @@ from typing import Sequence
 # are not called here: perfbench/spans.py still wraps them on this module
 from .braid import BraidOrbit, braid_orbits, cusp_of, cusp_orbits, reduced_classes
 from .cusps import component_dossier
-from .errors import ConfigError, MultiplePrimeClasses, NotPGroupKernel
+from .errors import ClassListEscape, ConfigError, MultiplePrimeClasses, NotPGroupKernel
 from .groups import FiniteGroup, GroupHom, is_p_power
 from .lifting import CentralExtension, is_frattini_cover
 from .nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
@@ -94,36 +94,26 @@ def match_classes(level: LevelMap, C: ClassMultiset) -> ClassMultiset:
     return ClassMultiset(lifted)
 
 
-def project_reduced(
-    level: LevelMap, canonical: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Inner canonical of the image downstairs of an upstairs class; the
-    downstairs reduced class holding it lists it in inner_canonicals."""
-    ids = tuple(map(level.psi.full_map.__getitem__, canonical))
-    return canonical_context(level.downstairs).canon(ids)
-
-
-def _positions(orbits: Sequence[BraidOrbit]) -> dict[tuple, tuple[int, int]]:
-    """Inner canonical -> (orbit, position in it) of the reduced class
-    holding it."""
-    return {
+def _projector(level: LevelMap, orbits: Sequence[BraidOrbit]):
+    """The map from an upstairs inner canonical to (orbit, position in it)
+    of the downstairs reduced class that holds its image."""
+    at = {
         t: (i, j)
         for i, orb in enumerate(orbits)
         for j, c in enumerate(orb.classes)
         for t in c.inner_canonicals
     }
+    image, ctx = level.psi.full_map, canonical_context(level.downstairs)
 
+    def project(canonical: tuple[int, ...]) -> tuple[int, int]:
+        found = at.get(ctx.canon(tuple(map(image.__getitem__, canonical))))
+        if found is None:
+            raise ClassListEscape(
+                f"a projected class is not a class of {level.downstairs.name}"
+            )
+        return found
 
-def level_fiber(
-    level: LevelMap, upstairs_orbits: Sequence[BraidOrbit], downstairs_orbit: BraidOrbit
-) -> list[BraidOrbit]:
-    """Upstairs braid orbits lying over the given downstairs orbit."""
-    below = _positions([downstairs_orbit])
-    return [
-        orb
-        for orb in upstairs_orbits
-        if project_reduced(level, orb.members[0]) in below
-    ]
+    return project
 
 
 @dataclass(frozen=True)
@@ -282,17 +272,16 @@ def build_graph(
 
     for k, lm in enumerate(chain):
         down, up = levels[k], levels[k + 1]
-        down_at = _positions(down.orbits)
+        project = _projector(lm, down.orbits)
         down_cusp_of = [cusp_of(orb) for orb in down.orbits]
         covered_components = set()
         covered_cusps = set()
         for ui, uorb in enumerate(up.orbits):
-            di, _ = down_at[project_reduced(lm, uorb.members[0])]
+            di, _ = project(uorb.members[0])
             graph.component_edges.append((k, ui, di))
             covered_components.add(di)
             for uj, ucusp in enumerate(cusp_orbits(uorb)):
-                up_rep = ucusp.member_canonicals[0]
-                i, j = down_at[project_reduced(lm, up_rep)]
+                i, j = project(ucusp.member_canonicals[0])
                 dcusp = (i, down_cusp_of[i][j])
                 graph.cusp_edges.append((k, (ui, uj), dcusp))
                 covered_cusps.add(dcusp)

@@ -383,15 +383,40 @@ def test_extension_permutation_outside_its_group(
          "--extension", "SL23"),
         ("lift", "--group", "A(4)", "--classes", "3+:2,3-:2", "--prime", "5",
          "--extension", "SL23"),
+        ("report", "--classes", "2:4", "--prime", "3"),
+        ("report", "--group", "D(9)", "--classes", "2:4"),
+        ("report", "--group", "D(9)", "--classes", "2:4", "--prime", "3",
+         "--extension", "Heis(3)"),
+        ("tower", "--classes", "2:4", "--prime", "3"),
+        ("tower", "--chain", "D(3),D(9)", "--prime", "3"),
+        ("tower", "--chain", "D(3),D(9)", "--classes", "2:4"),
+        ("tower", "--chain", "D(3),D(9)", "--classes", "2:3", "--prime", "3"),
+        ("frattini",),
     ],
     ids=["point-past-degree", "non-integer-point", "overlapping-cycles",
-         "bad-extension-image", "r3-with-r4", "extension-prime-3", "extension-prime-5"],
+         "bad-extension-image", "r3-with-r4", "extension-prime-3", "extension-prime-5",
+         "missing-group", "missing-prime", "extension-not-over-group",
+         "missing-chain", "tower-missing-classes", "tower-missing-prime",
+         "tower-r3", "frattini-missing-cover"],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert re.match(r"error\[(ConfigError|BadPermutation):2\]", err)
     assert "Traceback" not in err
+
+
+def test_an_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # only a ForgeError maps to an exit code; any other exception is a
+    # fault in the program and surfaces as one
+    import nielsen_forge.cli as cli
+
+    def broken(suite):
+        raise KeyError(suite)
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "--suite", "jennings"])
 
 
 D9_ARGS = ("--group", "D(9)", "--classes", "2:4", "--prime", "3")

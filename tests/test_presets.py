@@ -1,7 +1,9 @@
 import pytest
 
+from nielsen_forge import presets
 from nielsen_forge.errors import ConfigError
 from nielsen_forge.presets import (
+    GroupSpec,
     alternating,
     chain_from_specs,
     dihedral,
@@ -43,6 +45,15 @@ def test_spec_errors():
     for bad in ("Q(3)", "A(2)", "custom[]", "A4"):
         with pytest.raises(ConfigError):
             parse_group_spec(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(presets._FAMILIES))
+def test_every_family_starts_at_its_least_parameter(kind):
+    least = presets._FAMILIES[kind][0]
+    assert parse_group_spec(f"{kind}({least})") == GroupSpec(kind, least)
+    assert group_from_string(f"{kind}({least})")[0].order > 1
+    with pytest.raises(ConfigError, match="parameter too small"):
+        parse_group_spec(f"{kind}({least - 1})")
 
 
 def test_dihedral_involutions_odd_m():

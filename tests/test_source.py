@@ -164,3 +164,59 @@ def test_every_level_is_built_by_run_pipeline():
         name for name, tree in trees.items() if "component_dossier" in _calls(tree)
     ]
     assert dossier_callers == ["report.py"]
+
+
+def _record_fields(cls: ast.ClassDef):
+    """A dataclass's fields and the attributes its __init__ sets on self."""
+    if any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield node.lineno, node.target.id
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    yield node.lineno, node.attr
+
+
+def test_every_record_field_is_read():
+    # a field that neither the library nor the tests ever read is dead
+    # weight on every record built; matching is by attribute name
+    trees = _library_trees()
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    read = {
+        n.attr
+        for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in tests)]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{lineno} {cls.name}.{name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for lineno, name in _record_fields(cls)
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_the_cli_maps_forge_errors_only_to_exit_codes():
+    # a KeyError or any other untyped exception is a fault in the program,
+    # not a usage error, so main lets it through
+    cli = next(t for p, t in _library_trees().items() if p.name == "cli.py")
+    main = next(
+        n for n in ast.walk(cli) if isinstance(n, ast.FunctionDef) and n.name == "main"
+    )
+    handled = [
+        ast.unparse(h.type)
+        for n in ast.walk(main)
+        if isinstance(n, ast.Try)
+        for h in n.handlers
+    ]
+    assert handled == ["ForgeError"]

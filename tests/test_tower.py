@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from nielsen_forge import report
-from nielsen_forge.braid import braid_orbits, reduced_classes
+from nielsen_forge import report, tower
 from nielsen_forge.config import parse_class_selector
-from nielsen_forge.errors import ConfigError, NotPGroupKernel
+from nielsen_forge.cli import main
+from nielsen_forge.errors import ClassListEscape, ConfigError, NotPGroupKernel
 from nielsen_forge.lifting import is_frattini_cover
 from nielsen_forge.nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
 from nielsen_forge.presets import (
@@ -15,13 +15,7 @@ from nielsen_forge.presets import (
     direct_product_with_cyclic,
     sl2_cover,
 )
-from nielsen_forge.tower import (
-    LevelMap,
-    build_graph,
-    export_json,
-    level_fiber,
-    match_classes,
-)
+from nielsen_forge.tower import LevelMap, build_graph, export_json, match_classes
 
 
 def _dihedral_graph(p, k_max):
@@ -85,11 +79,29 @@ def test_sl23_fiber_obstruction():
         key=lambda c: c.member_ids[0],
     )
     C = ClassMultiset([(cls3[0], 2), (cls3[1], 2)])
-    down = braid_orbits(reduced_classes(nielsen_inner_classes(A4, C)))
-    C_up = match_classes(lm, C)
-    up = braid_orbits(reduced_classes(nielsen_inner_classes(ext.R, C_up)))
-    assert len(level_fiber(lm, up, down[0])) == 1
-    assert level_fiber(lm, up, down[1]) == []
+    g = build_graph([lm], C, 2)
+    # the one SL(2,3) orbit lies over the first A4 orbit, none over the second
+    assert [len(lv.orbits) for lv in g.levels] == [2, 1]
+    assert g.component_edges == [(0, 0, 0)]
+
+
+def test_a_projection_outside_the_lower_level_is_a_class_list_escape(monkeypatch):
+    # level 1 is lifted from both A4 orbits; the orbit it lies over is then
+    # dropped from level 0, so its image is no class of the level below
+    results = []
+
+    def dropping(*args, **kwargs):
+        results.append(report.run_pipeline(*args, **kwargs))
+        if len(results) == 2:
+            del results[0].dossiers[0]
+        return results[-1]
+
+    monkeypatch.setattr(tower, "run_pipeline", dropping)
+    _, ext = sl2_cover(3)
+    C = parse_class_selector(ext.G, "3+:2,3-:2")
+    with pytest.raises(ClassListEscape) as exc:
+        build_graph([LevelMap(ext.proj, 2)], C, 2)
+    assert exc.value.code == 25
 
 
 def test_sl23_graph_marks_obstruction():
@@ -245,4 +257,25 @@ def test_an_extension_for_another_prime_is_refused_before_enumerating(monkeypatc
         report.run_pipeline(ext.G, C, 3, ext)
     with pytest.raises(ConfigError, match="the extension has p = 2, not p = 3"):
         build_graph([], C, 3, extensions=[ext])
+    assert lifted == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an empty Nielsen class: no r = 4 report of nothing
+        ("--group", "D(9)", "--classes", "2:5", "--prime", "3"),
+        # 684 inner classes that no stage after enumeration could use
+        ("--group", "A(5)", "--classes", "3:5", "--prime", "2"),
+    ],
+    ids=["D9-empty", "A5-r5"],
+)
+def test_ranks_other_than_3_and_4_are_refused_before_enumerating(
+    monkeypatch, capsys, argv
+):
+    lifted = _spy_on_lifts(monkeypatch)
+    assert main(["report", *argv]) == 20
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error[RankNotFour:20]: ")
     assert lifted == []
