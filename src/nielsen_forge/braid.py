@@ -13,13 +13,20 @@ are BraidOrbits of the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import accumulate, chain
+from typing import Iterator, Sequence
 
 from . import perm as P
 from .errors import BraidInvariantBroken, ClassListEscape, ConfigError, RankNotFour
 from .groups import FiniteGroup, partition_orbits
-from .nielsen import InnerClass, NielsenTuple, automorphism_orbits, canonical_context
+from .nielsen import (
+    ClassColumns,
+    InnerClass,
+    InnerClasses,
+    NielsenTuple,
+    automorphism_orbits,
+    canonical_context,
+)
 from .perm import Perm
 
 # A braid word is a sequence of (i, sign) pairs, i the 1-based twist index.
@@ -79,16 +86,69 @@ class ReducedClass:
         return self.inner_canonicals[0]
 
 
+class ReducedClasses(ClassColumns):
+    """The reduced classes of one level as flat columns.
+
+    ``inner`` holds the level's inner canonicals, sorted when reduced_classes
+    built the record; class r holds those at positions members[starts[r] :
+    starts[r + 1]], ascending, and ``reduced_of`` maps an inner position back
+    to its class.  q2[r] and sh[r] are the classes holding q2 and sh of the
+    canonical of class r, its least inner canonical.
+    """
+
+    __slots__ = (
+        "group", "inner", "orbit_size", "members", "starts", "reduced_of",
+        "canonicals", "q2", "sh", "_hm",
+    )
+
+    def __init__(self, group, inner, orbit_size, members, starts, reduced_of, q2, sh):
+        self.group, self.inner, self.orbit_size = group, inner, orbit_size
+        self.members, self.starts, self.reduced_of = members, starts, reduced_of
+        self.canonicals = [inner[members[s]] for s in starts[:-1]]
+        self.q2, self.sh = q2, sh
+        self._hm: list[bool] | None = None
+
+    @classmethod
+    def of(cls, classes: Sequence[ReducedClass]) -> ReducedClasses:
+        """The columns of ReducedClass records, each at its own position."""
+        lengths = [len(c.inner_canonicals) for c in classes]
+        inner = [t for c in classes for t in c.inner_canonicals]
+        return cls(
+            classes[0].group,
+            inner,
+            classes[0].size // lengths[0],
+            list(range(len(inner))),
+            list(accumulate(lengths, initial=0)),
+            [r for r, n in enumerate(lengths) for _ in range(n)],
+            [c.q2_target for c in classes],
+            [c.sh_target for c in classes],
+        )
+
+    def __len__(self) -> int:
+        return len(self.canonicals)
+
+    def inner_canonicals(self, r: int) -> tuple[tuple[int, ...], ...]:
+        members = self.members[self.starts[r] : self.starts[r + 1]]
+        return tuple(map(self.inner.__getitem__, members))
+
+    def _view(self, r: int) -> ReducedClass:
+        ts = self.inner_canonicals(r)
+        return ReducedClass(
+            self.group, ts, self.orbit_size * len(ts), r, self.q2[r], self.sh[r]
+        )
+
+
 def _braid_table(
     group: FiniteGroup, keys: Sequence[tuple[int, ...]]
 ) -> tuple[list[int], list[int]]:
     """sh and q2 on the sorted inner canonicals of any rank r >= 3, as
     position arrays, all images canonicalized in one canon_many call."""
-    conj = group.conj
+    tab, inv = group.mul_table, group.inv
     images = canonical_context(group).canon_many(
         chain(
             (t[1:] + t[:1] for t in keys),
-            ((t[0], conj(t[2], t[1]), t[1]) + t[3:] for t in keys),
+            # q2 = (t1, t2 t3 t2^-1, t2, ...)
+            ((t[0], tab[tab[t[1]][t[2]]][inv[t[1]]], t[1]) + t[3:] for t in keys),
         )
     )
     index = {t: i for i, t in enumerate(keys)}
@@ -114,82 +174,88 @@ def _q2_generators(sh: list[int], q2: list[int]) -> tuple[list[int], list[int]]:
     return [sh[j] for j in sh], [sh_inv[q2_inv[sh[sh[q2[j]]]]] for j in sh_inv]
 
 
-def reduced_classes(inner: Sequence[InnerClass]) -> list[ReducedClass]:
-    """Merge inner classes, a list closed under sh and q2, under Q''."""
+def reduced_classes(inner: Sequence[InnerClass]) -> ReducedClasses | list:
+    """Merge inner classes, a list closed under sh and q2, under Q''; the
+    classes come sorted by canonical, as one ReducedClasses record."""
     if not inner:
         return []
-    group = inner[0].group
-    if len(inner[0].canonical) != 4:
+    if not isinstance(inner, InnerClasses):
+        inner = InnerClasses.of(inner)
+    keys = inner.canonicals
+    if len(keys[0]) != 4:
         raise RankNotFour("reduced classes are defined for r = 4 only")
-    inner = sorted(inner, key=lambda c: c.canonical)
-    keys = [c.canonical for c in inner]
-    sh, q2 = _braid_table(group, keys)
+    sh, q2 = _braid_table(inner.group, keys)
     orbits = partition_orbits(range(len(keys)), _q2_generators(sh, q2))
-    sizes = [c.orbit_size for c in inner]
     reduced_of = [0] * len(keys)
     for r, m in enumerate(orbits):
         for j in m:
             reduced_of[j] = r
-    out = []
-    for r, m in enumerate(orbits):
-        a = m[0]
-        out.append(
-            ReducedClass(
-                group,
-                tuple(map(keys.__getitem__, m)),
-                sum(map(sizes.__getitem__, m)),
-                r,
-                reduced_of[q2[a]],
-                reduced_of[sh[a]],
-            )
-        )
-    return out
+    firsts = [m[0] for m in orbits]
+    return ReducedClasses(
+        inner.group,
+        keys,
+        inner.orbit_size,
+        list(chain.from_iterable(orbits)),
+        list(accumulate(map(len, orbits), initial=0)),
+        reduced_of,
+        [reduced_of[q2[a]] for a in firsts],
+        [reduced_of[sh[a]] for a in firsts],
+    )
 
 
 class BraidOrbit:
     """Orbit of <gamma_inf, gamma_1> on reduced classes (one component).
 
-    The classes come sorted by canonical; gamma_inf and gamma_1 index them.
-    For r = 3 the classes are inner classes, with gamma_inf = q2 and
-    gamma_1 = sh, and the orbit is one of H3 = <q1, q2>.
+    The orbit holds the ascending positions of its classes in the level
+    record; members are their canonicals, and gamma_inf and gamma_1 index
+    them.  For r = 3 the level is the inner classes, with gamma_inf = q2
+    and gamma_1 = sh, and the orbit is one of H3 = <q1, q2>.
     """
 
     def __init__(
         self,
-        group: FiniteGroup,
-        classes: Sequence[ReducedClass | InnerClass],
+        level: ReducedClasses | InnerClasses,
+        positions: Sequence[int],
         gamma_inf: Perm,
         gamma_1: Perm,
     ):
-        self.group = group
-        self.classes = tuple(classes)
-        self.members = tuple(c.canonical for c in self.classes)
+        self.group = level.group
+        self.level = level
+        self.positions = tuple(positions)
+        self.members = tuple(map(level.canonicals.__getitem__, positions))
         self.gamma_inf: Perm = tuple(gamma_inf)
         self.gamma_1: Perm = tuple(gamma_1)
         self.gamma_0: Perm = P.inverse(P.compose(self.gamma_1, self.gamma_inf))
         self._cusps: tuple[CuspOrbit, ...] | None = None
-        self._hm: list[bool] | None = None
+
+    @property
+    def classes(self) -> Iterator[ReducedClass | InnerClass]:
+        """The views of the orbit's classes, built one at a time as they
+        are read."""
+        return map(self.level._view, self.positions)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def q2_lengths(self) -> list[int]:
-        return [len(c.inner_canonicals) for c in self.classes]
+        starts = self.level.starts
+        return [starts[r + 1] - starts[r] for r in self.positions]
 
 
-def _orbits(group: FiniteGroup, classes, q2, sh, escape=None) -> list[BraidOrbit]:
+def _orbits(level, q2, sh, escape=None) -> list[BraidOrbit]:
     """Orbits of the position arrays q2 = gamma_inf and sh = gamma_1 on the
-    sorted classes, re-indexed locally; larger first, ties by least member."""
-    local = [0] * len(classes)
+    level's sorted classes, re-indexed locally; larger first, ties by least
+    member."""
+    local = [0] * len(level)
     orbits = []
-    for members in partition_orbits(range(len(classes)), (q2, sh), escape):
+    for members in partition_orbits(range(len(level)), (q2, sh), escape):
         for j, g in enumerate(members):
             local[g] = j
         orbits.append(
             BraidOrbit(
-                group,
-                [classes[g] for g in members],
+                level,
+                members,
                 [local[q2[g]] for g in members],
                 [local[sh[g]] for g in members],
             )
@@ -207,16 +273,16 @@ def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
     """
     if not reduced:
         return []
-    if len(reduced[0].canonical) != 4:
-        raise RankNotFour("braid orbits on reduced classes need r = 4")
     escape = ClassListEscape("braid action left the reduced class list")
-    # the targets are positions in the list reduced_classes returned, so
-    # every class must still sit at its own position there
-    if any(c.position != i for i, c in enumerate(reduced)):
-        raise escape
-    q2 = [c.q2_target for c in reduced]
-    sh = [c.sh_target for c in reduced]
-    return _orbits(reduced[0].group, reduced, q2, sh, escape)
+    if not isinstance(reduced, ReducedClasses):
+        if len(reduced[0].canonical) != 4:
+            raise RankNotFour("braid orbits on reduced classes need r = 4")
+        # the targets are positions in the list reduced_classes returned,
+        # so every class must still sit at its own position there
+        if any(c.position != i for i, c in enumerate(reduced)):
+            raise escape
+        reduced = ReducedClasses.of(reduced)
+    return _orbits(reduced, reduced.q2, reduced.sh, escape)
 
 
 def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[BraidOrbit]:
@@ -224,12 +290,12 @@ def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[BraidOrbit]:
     inner classes, so <sh, q2> = <q1, q2>."""
     if not inner:
         return []
-    group = inner[0].group
-    if len(inner[0].canonical) != 3:
+    if not isinstance(inner, InnerClasses):
+        inner = InnerClasses.of(inner)
+    if len(inner.canonicals[0]) != 3:
         raise ConfigError("H3 orbit mode needs r = 3")
-    inner = sorted(inner, key=lambda c: c.canonical)
-    sh, q2 = _braid_table(group, [c.canonical for c in inner])
-    return _orbits(group, inner, q2, sh)
+    sh, q2 = _braid_table(inner.group, inner.canonicals)
+    return _orbits(inner, q2, sh)
 
 
 def absolute_reduced_classes(

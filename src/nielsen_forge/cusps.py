@@ -15,7 +15,7 @@ from importlib import resources
 from math import lcm
 
 from . import lifting, perm as P
-from .braid import BraidOrbit, CuspOrbit, ReducedClass, cusp_of, cusp_orbits
+from .braid import BraidOrbit, CuspOrbit, ReducedClasses, cusp_of, cusp_orbits
 from .errors import (
     FormulaMismatch,
     InconsistentType,
@@ -129,19 +129,22 @@ class CuspType:
         return f"{self.kind} (mp={self.mp}){tail}"
 
 
-def _is_hm(group, cls: ReducedClass) -> bool:
-    """Some inner class in the reduced class has the H-M shape (g, g^-1, h, h^-1)."""
-    inv = group.inv
-    return any(
-        t[1] == inv[t[0]] and t[3] == inv[t[2]] for t in cls.inner_canonicals
-    )
+def _hm_scan(level: ReducedClasses) -> list[bool]:
+    """Whether each reduced class of the level holds an inner class of the
+    H-M shape (g, g^-1, h, h^-1), in one pass over the inner canonicals."""
+    inv, reduced_of = level.group.inv, level.reduced_of
+    hm = [False] * len(level)
+    for j, t in enumerate(level.inner):
+        if t[1] == inv[t[0]] and t[3] == inv[t[2]]:
+            hm[reduced_of[j]] = True
+    return hm
 
 
-def _hm_flags(orbit: BraidOrbit) -> list[bool]:
-    """_is_hm of each class of the orbit, computed once and kept on it."""
-    if orbit._hm is None:
-        orbit._hm = [_is_hm(orbit.group, c) for c in orbit.classes]
-    return orbit._hm
+def _hm_flags(level: ReducedClasses) -> list[bool]:
+    """_hm_scan of the level, computed once and kept on it."""
+    if level._hm is None:
+        level._hm = _hm_scan(level)
+    return level._hm
 
 
 def classify_cusp(
@@ -154,7 +157,7 @@ def classify_cusp(
     ctx = canonical_context(group)
     orders = group.element_orders
     orbit = cusp.orbit
-    hm = _hm_flags(orbit)
+    hm, at = _hm_flags(orbit.level), orbit.positions
     kinds = set()
     mps = set()
     is_hm = False
@@ -172,8 +175,8 @@ def classify_cusp(
             kinds.add(G_PRIME)
         else:
             kinds.add(O_PRIME)
-        is_hm = is_hm or hm[i]
-        is_shift = is_shift or hm[orbit.gamma_1[i]]
+        is_hm = is_hm or hm[at[i]]
+        is_shift = is_shift or hm[at[orbit.gamma_1[i]]]
     if len(kinds) != 1:
         raise InconsistentType(
             f"cusp members disagree on the type: {sorted(kinds)}"

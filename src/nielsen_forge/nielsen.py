@@ -10,6 +10,7 @@ over the group gives each class both its transporters to m and Cent(m).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -243,6 +244,52 @@ class InnerClass:
     orbit_size: int
 
 
+class ClassColumns(SequenceABC):
+    """The classes of one level held as columns.  A class record is a view
+    built on access, a slice is a list of views, and two levels compare
+    equal by their columns, the slots not named with an underscore."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._view, range(len(self))[i]))
+        return self._view(range(len(self))[i])
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __eq__(self, other):
+        columns = [a for a in self.__slots__ if a[0] != "_"]
+        return type(other) is type(self) and all(
+            getattr(self, a) == getattr(other, a) for a in columns
+        )
+
+
+class InnerClasses(ClassColumns):
+    """The inner classes of one level: their canonicals, sorted, and the one
+    conjugation orbit size |G| / |Z(G)| of a generating tuple."""
+
+    __slots__ = ("group", "canonicals", "orbit_size")
+
+    def __init__(self, group: FiniteGroup, canonicals: list, orbit_size: int):
+        self.group, self.canonicals, self.orbit_size = group, canonicals, orbit_size
+
+    @classmethod
+    def of(cls, classes: Sequence[InnerClass]) -> InnerClasses:
+        """The columns of InnerClass records of one level, in any order."""
+        sizes = {c.orbit_size for c in classes}
+        if len(sizes) != 1:
+            raise ConfigError("the inner classes of one level share one orbit size")
+        return cls(classes[0].group, sorted(c.canonical for c in classes), sizes.pop())
+
+    def __len__(self) -> int:
+        return len(self.canonicals)
+
+    def _view(self, i: int) -> InnerClass:
+        return InnerClass(self.group, self.canonicals[i], self.orbit_size)
+
+
 def _patterns(C: ClassMultiset) -> list[tuple[ConjClass, ...]]:
     """Distinct orderings of the class multiset."""
     from itertools import permutations
@@ -373,7 +420,7 @@ def nielsen_inner_classes(
     group: FiniteGroup,
     C: ClassMultiset,
     below: tuple[GroupHom, Iterable[tuple[int, ...]]] | None = None,
-) -> list[InnerClass]:
+) -> InnerClasses:
     """Inner classes of ni(G, C) without materializing every raw tuple.
 
     Every conjugation orbit contains tuples whose first entry is the class
@@ -401,7 +448,7 @@ def nielsen_inner_classes(
     orbit_size = group.order // z
     if below is not None:
         lifts = _frattini_lifts(group, C, *below)
-        return [InnerClass(group, canon, orbit_size) for canon in sorted(lifts)]
+        return InnerClasses(group, sorted(lifts), orbit_size)
     verdict: dict[tuple[int, ...], bool] = {}
     gen_cache: dict[frozenset[int], bool] = {}
 
@@ -431,11 +478,9 @@ def nielsen_inner_classes(
                 verdict[canon] = any(
                     cached_generates((m, x)) for x in ids[1:]
                 ) or cached_generates(ids)
-    return [
-        InnerClass(group, canon, orbit_size)
-        for canon, ok in sorted(verdict.items())
-        if ok
-    ]
+    return InnerClasses(
+        group, [canon for canon, ok in sorted(verdict.items()) if ok], orbit_size
+    )
 
 
 def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) -> set:

@@ -198,7 +198,8 @@ def sl2_cover(q: int, cap: int | None = None) -> tuple[FiniteGroup, CentralExten
 
 
 # kind -> (least parameter, constructor); a constructor that returns a
-# (group, extension) pair names a cover of the extension's target
+# (group, extension) pair names a cover of the extension's target, and
+# _COVERS lists those kinds
 _FAMILIES = {
     "A": (3, alternating),
     "S": (2, symmetric),
@@ -207,6 +208,7 @@ _FAMILIES = {
     "V2xZ3": (2, v2_z3),
     "Heis": (2, heisenberg),
 }
+_COVERS = frozenset({"Heis", "SL23", "SL25"})
 
 
 def make_group(
@@ -338,10 +340,10 @@ def extension_from_string(
         proj = hom(R, target, images)
         kernel_gen = P.parse(fields["kernel"], R.degree)
         return CentralExtension(R, target, proj, kernel_gen, p)
-    _, ext = group_from_string(body, cap)
-    if ext is None:
+    spec = parse_group_spec(body)
+    if spec.kind not in _COVERS:
         raise ConfigError(f"no central extension named {text!r}")
-    return ext
+    return make_group(spec, cap)[1]
 
 
 def direct_product_with_cyclic(

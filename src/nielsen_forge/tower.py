@@ -100,8 +100,8 @@ def _projector(level: LevelMap, orbits: Sequence[BraidOrbit]):
     at = {
         t: (i, j)
         for i, orb in enumerate(orbits)
-        for j, c in enumerate(orb.classes)
-        for t in c.inner_canonicals
+        for j, r in enumerate(orb.positions)
+        for t in orb.level.inner_canonicals(r)
     }
     image, ctx = level.psi.full_map, canonical_context(level.downstairs)
 
@@ -265,7 +265,9 @@ def build_graph(
     levels = [run_pipeline(groups[0], base_classes, p, exts[0])]
     for k, lm in enumerate(chain):
         C = transfer_classes(match_classes(lm, levels[k].classes), groups[k + 1])
-        lower = (t for o in levels[k].orbits for c in o.classes for t in c.inner_canonicals)
+        # a level's orbits hold all of its classes: lift every inner canonical
+        orbits = levels[k].orbits
+        lower = orbits[0].level.inner if orbits else ()
         below = (lm.psi, lower) if is_frattini_cover(lm.psi) else None
         levels.append(run_pipeline(groups[k + 1], C, p, exts[k + 1], below=below))
     graph = TowerGraph(p, levels)

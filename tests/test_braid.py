@@ -236,6 +236,44 @@ def test_braid_table_matches_per_move_canonicals(spec, classes, p):
             )
 
 
+@pytest.mark.parametrize(
+    "spec, classes", [("A(4)", "3+:2,3-:2"), ("D(25)", "2:4"), ("V2xPM(9)", "2:4")]
+)
+def test_reduced_class_views_match_a_record_built_without_the_table(spec, classes):
+    # inner classes from the raw tuples, Q'' orbits closed move by move and
+    # each target canonicalized on its own, against every view of the level
+    from nielsen_forge.braid import _twist
+    from nielsen_forge.config import parse_class_selector
+    from nielsen_forge.nielsen import canonical_context
+    from nielsen_forge.presets import group_from_string
+    from per_move import q2_variants, shift_ids
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    ctx = canonical_context(G)
+    size = {c.canonical: c.orbit_size for c in inner_classes(G, C)}
+    orbits = sorted({tuple(sorted(q2_variants(G, ctx, t))) for t in size})
+    at = {t: r for r, ts in enumerate(orbits) for t in ts}
+    expect = [
+        (
+            ts,
+            sum(map(size.__getitem__, ts)),
+            r,
+            at[ctx.canon(_twist(G, ts[0], 1, +1))],
+            at[ctx.canon(shift_ids(ts[0]))],
+        )
+        for r, ts in enumerate(orbits)
+    ]
+    reduced = reduced_classes(nielsen_inner_classes(G, C))
+    got = [
+        (c.inner_canonicals, c.size, c.position, c.q2_target, c.sh_target)
+        for c in reduced
+    ]
+    assert got == expect
+    if spec == "A(4)":
+        assert (len(size), len(reduced)) == (30, 15)
+
+
 # the r = 3 snapshot inputs
 R3_CASES = [
     ("A(5)", "5+:1,5-:1,3:1"),
@@ -538,7 +576,7 @@ def test_absolute_reduced_classes_escape_a_list_not_closed_under_the_map():
     )
     pair = next(b for b in absolute_reduced_classes(reduced, [swap]) if len(b) == 2)
     with pytest.raises(ClassListEscape) as err:
-        absolute_reduced_classes([c for c in reduced if c is not pair[1]], [swap])
+        absolute_reduced_classes([c for c in reduced if c != pair[1]], [swap])
     assert err.value.code == 25
 
 

@@ -367,6 +367,16 @@ def test_extension_permutation_outside_its_group(
     assert "(1 2)" in err and "Traceback" not in err
 
 
+def test_a_group_that_is_no_cover_is_a_config_error(capsys):
+    # A(10) is past the closure cap: it is refused before it is built
+    code, _, err = run_cli(
+        capsys, "report", "--group", "A(4)", "--classes", "3+:2,3-:2",
+        "--prime", "2", "--extension", "A(10)",
+    )
+    assert code == 2
+    assert "error[ConfigError:2]: no central extension named 'A(10)'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -340,8 +340,9 @@ def test_monodromy_order_composition_budget(monkeypatch):
     [("D(15)", "2:4", 3), ("V2xPM(3)", "2:4", 3), ("A(5)", "3:4", 2), ("D(25)", "2:4", 5)],
 )
 def test_cusp_typing_budgets(monkeypatch, spec, classes, p):
-    # one H-M scan per class of each component, and one pair closure per
-    # conjugacy class of sorted pairs <g2, g3>, <g1, g4> over all cusps
+    # one H-M scan per class of each component (a scan covers every class
+    # of a level), and one pair closure per conjugacy class of sorted pairs
+    # <g2, g3>, <g1, g4> over all cusps
     import nielsen_forge.cusps as cusps_module
     from nielsen_forge.groups import FiniteGroup
     from nielsen_forge.nielsen import canonical_context
@@ -356,17 +357,17 @@ def test_cusp_typing_budgets(monkeypatch, spec, classes, p):
                 for x, y in ((g2, g3), (g1, g4)):
                     pairs.add(ctx.canon((x, y) if x <= y else (y, x)))
     scans, closures = [], []
-    is_hm, closure = cusps_module._is_hm, FiniteGroup.subgroup_closure
+    hm_scan, closure = cusps_module._hm_scan, FiniteGroup.subgroup_closure
 
-    def counted_is_hm(g, cls):
-        scans.append(cls.canonical)
-        return is_hm(g, cls)
+    def counted_hm_scan(level):
+        scans.extend(level.canonicals)
+        return hm_scan(level)
 
     def counted_closure(self, ids):
         closures.append(tuple(ids))
         return closure(self, ids)
 
-    monkeypatch.setattr(cusps_module, "_is_hm", counted_is_hm)
+    monkeypatch.setattr(cusps_module, "_hm_scan", counted_hm_scan)
     monkeypatch.setattr(FiniteGroup, "subgroup_closure", counted_closure)
     for o in orbits:
         for cusp in cusp_orbits(o):

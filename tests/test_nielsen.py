@@ -226,7 +226,7 @@ def test_absolute_classes_escape_a_list_not_closed_under_the_map():
     outer = hom(A4, A4, swap)
     dropped = absolute_classes(inner, [outer])[0][1]
     with pytest.raises(ClassNotPreserved, match="outside the class list") as err:
-        absolute_classes([c for c in inner if c is not dropped], [outer])
+        absolute_classes([c for c in inner if c != dropped], [outer])
     assert err.value.code == 16
 
 

@@ -225,3 +225,38 @@ def test_h3_orbits_match_raw_tuple_oracle(spec, classes, sizes):
     got = sorted((o.size for o in run_pipeline(G, C, 2).h3_orbits), reverse=True)
     reps = [(cls.representative, m) for cls, m in C.entries]
     assert got == raw_h3_orbit_sizes(list(G.generators), reps) == sizes
+
+
+def gamma1_index(n):
+    """[PSL2(Z) : ±Γ1(n)] = n²/2 · ∏ (1 − 1/ℓ²) over the primes ℓ | n, n ≥ 3:
+    the degree of X1(n) over the j-line."""
+    num, den, m, ell = n * n, 2, n, 2
+    while m > 1:
+        if m % ell == 0:
+            num, den = num * (ell * ell - 1), den * ell * ell
+            while m % ell == 0:
+                m //= ell
+        ell += 1
+    return num // den
+
+
+def _dihedral_components(n, p):
+    G, _ = group_from_string(f"D({n})")
+    result = run_pipeline(G, parse_class_selector(G, "2:4"), p)
+    return [o.size for o in result.orbits], result.reduced_count
+
+
+def test_gamma1_index_by_hand():
+    # X1(5), X1(7), X1(12) have degrees 12, 24 and 48
+    assert [gamma1_index(n) for n in (5, 7, 12, 625)] == [12, 24, 48, 187500]
+
+
+@pytest.mark.parametrize("n", [5, 25, 125])
+def test_dihedral_component_has_the_degree_of_x1(n):
+    assert _dihedral_components(n, 5) == ([gamma1_index(n)], gamma1_index(n))
+
+
+@pytest.mark.slow
+def test_dihedral_625_component_has_the_degree_of_x1():
+    """Opt-in: python -m pytest -m slow tests/test_oracle.py"""
+    assert _dihedral_components(625, 5) == ([187500], gamma1_index(625))

@@ -151,6 +151,23 @@ def test_extension_from_string():
         extension_from_string("A(4)")
 
 
+def test_covers_are_the_kinds_built_with_an_extension():
+    # extension_from_string refuses a kind outside _COVERS before building
+    kinds = [(kind, least) for kind, (least, _) in presets._FAMILIES.items()]
+    for kind, param in kinds + [("SL23", 0), ("SL25", 0)]:
+        _, ext = presets.make_group(GroupSpec(kind, param))
+        assert (ext is not None) == (kind in presets._COVERS), kind
+
+
+def test_a_group_that_is_no_cover_is_not_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("A(8) was built")
+
+    monkeypatch.setitem(presets._FAMILIES, "A", (3, build))
+    with pytest.raises(ConfigError, match=r"no central extension named 'A\(8\)'"):
+        extension_from_string("A(8)")
+
+
 def test_symmetric():
     assert symmetric(4).order == 24
     assert alternating(6).order == 360

@@ -85,6 +85,37 @@ def test_sl23_fiber_obstruction():
     assert g.component_edges == [(0, 0, 0)]
 
 
+def test_a_tower_and_its_exports_build_no_class_records(monkeypatch):
+    # a level is held as columns: InnerClass and ReducedClass views are
+    # built only where a caller reads them
+    import nielsen_forge.braid as braid
+    import nielsen_forge.nielsen as nielsen
+
+    built = []
+
+    def counted(cls):
+        class Counted(cls):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(cls.__name__)
+                super().__init__(*args)
+
+        return Counted
+
+    monkeypatch.setattr(braid, "ReducedClass", counted(braid.ReducedClass))
+    monkeypatch.setattr(nielsen, "InnerClass", counted(nielsen.InnerClass))
+    graph = _dihedral_graph(5, 2)
+    export_json(graph)
+    graph.to_dot()
+    assert [o.size for lv in graph.levels for o in lv.orbits] == [12, 300, 7500]
+    assert built == []
+    # the hooks see the views a caller does build
+    next(graph.levels[0].orbits[0].classes)
+    nielsen.nielsen_inner_classes(graph.levels[0].group, graph.levels[0].classes)[0]
+    assert sorted(set(built)) == ["InnerClass", "ReducedClass"]
+
+
 def test_a_projection_outside_the_lower_level_is_a_class_list_escape(monkeypatch):
     # level 1 is lifted from both A4 orbits; the orbit it lies over is then
     # dropped from level 0, so its image is no class of the level below
