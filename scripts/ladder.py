@@ -3,6 +3,9 @@
 
 Usage: python scripts/ladder.py
 
+It takes no arguments: given any, it prints the usage line to standard
+error and exits 2 without running an entry.
+
 Every entry runs in its own Python process, so peak RSS belongs to that run
 alone, and the report it prints is captured and dropped.  One JSON line per
 entry goes to standard output: the command, the wall seconds of `cli.main`,
@@ -84,7 +87,13 @@ CHILD = (
 )
 
 
-def main() -> int:
+USAGE = "usage: python scripts/ladder.py  (takes no arguments)"
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        print(USAGE, file=sys.stderr)
+        return 2
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "scripts"), str(ROOT / "src")]
@@ -108,4 +117,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

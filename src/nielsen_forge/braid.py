@@ -72,7 +72,7 @@ def apply_braid(bg: NielsenTuple, word: BraidWord) -> NielsenTuple:
 class ReducedClass:
     """Class under conjugation together with Q'' (r=4 only), with its own
     position and the positions of the classes holding q2 and sh of its
-    canonical tuple, all in the sorted list reduced_classes returns."""
+    canonical tuple, all in the record reduced_classes returns."""
 
     group: FiniteGroup
     inner_canonicals: tuple[tuple[int, ...], ...]
@@ -107,22 +107,6 @@ class ReducedClasses(ClassColumns):
         self.canonicals = [inner[members[s]] for s in starts[:-1]]
         self.q2, self.sh = q2, sh
         self._hm: list[bool] | None = None
-
-    @classmethod
-    def of(cls, classes: Sequence[ReducedClass]) -> ReducedClasses:
-        """The columns of ReducedClass records, each at its own position."""
-        lengths = [len(c.inner_canonicals) for c in classes]
-        inner = [t for c in classes for t in c.inner_canonicals]
-        return cls(
-            classes[0].group,
-            inner,
-            classes[0].size // lengths[0],
-            list(range(len(inner))),
-            list(accumulate(lengths, initial=0)),
-            [r for r, n in enumerate(lengths) for _ in range(n)],
-            [c.q2_target for c in classes],
-            [c.sh_target for c in classes],
-        )
 
     def __len__(self) -> int:
         return len(self.canonicals)
@@ -174,15 +158,11 @@ def _q2_generators(sh: list[int], q2: list[int]) -> tuple[list[int], list[int]]:
     return [sh[j] for j in sh], [sh_inv[q2_inv[sh[sh[q2[j]]]]] for j in sh_inv]
 
 
-def reduced_classes(inner: Sequence[InnerClass]) -> ReducedClasses | list:
-    """Merge inner classes, a list closed under sh and q2, under Q''; the
+def reduced_classes(inner: InnerClasses) -> ReducedClasses:
+    """Merge inner classes, a level closed under sh and q2, under Q''; the
     classes come sorted by canonical, as one ReducedClasses record."""
-    if not inner:
-        return []
-    if not isinstance(inner, InnerClasses):
-        inner = InnerClasses.of(inner)
     keys = inner.canonicals
-    if len(keys[0]) != 4:
+    if keys and len(keys[0]) != 4:
         raise RankNotFour("reduced classes are defined for r = 4 only")
     sh, q2 = _braid_table(inner.group, keys)
     orbits = partition_orbits(range(len(keys)), _q2_generators(sh, q2))
@@ -264,37 +244,24 @@ def _orbits(level, q2, sh, escape=None) -> list[BraidOrbit]:
     return orbits
 
 
-def braid_orbits(reduced: Sequence[ReducedClass]) -> list[BraidOrbit]:
+def braid_orbits(reduced: ReducedClasses) -> list[BraidOrbit]:
     """Partition reduced classes into components; deterministic order.
 
-    ``reduced`` is the sorted list reduced_classes returned: gamma_inf = q2
-    and gamma_1 = sh are its q2_target and sh_target positions, and
-    components are the orbits of the two arrays.
+    ``reduced`` is the record reduced_classes returned: gamma_inf = q2 and
+    gamma_1 = sh are its q2 and sh target positions, and components are
+    the orbits of the two arrays.
     """
-    if not reduced:
-        return []
     escape = ClassListEscape("braid action left the reduced class list")
-    if not isinstance(reduced, ReducedClasses):
-        if len(reduced[0].canonical) != 4:
-            raise RankNotFour("braid orbits on reduced classes need r = 4")
-        # the targets are positions in the list reduced_classes returned,
-        # so every class must still sit at its own position there
-        if any(c.position != i for i, c in enumerate(reduced)):
-            raise escape
-        reduced = ReducedClasses.of(reduced)
     return _orbits(reduced, reduced.q2, reduced.sh, escape)
 
 
-def braid_orbits_r3(inner: Sequence[InnerClass]) -> list[BraidOrbit]:
+def braid_orbits_r3(inner: InnerClasses) -> list[BraidOrbit]:
     """H3 orbits, the orbits of the sh/q2 table: for r = 3, sh = q1 q2 on
     inner classes, so <sh, q2> = <q1, q2>."""
-    if not inner:
-        return []
-    if not isinstance(inner, InnerClasses):
-        inner = InnerClasses.of(inner)
-    if len(inner.canonicals[0]) != 3:
+    keys = inner.canonicals
+    if keys and len(keys[0]) != 3:
         raise ConfigError("H3 orbit mode needs r = 3")
-    sh, q2 = _braid_table(inner.group, inner.canonicals)
+    sh, q2 = _braid_table(inner.group, keys)
     return _orbits(inner, q2, sh)
 
 

@@ -29,7 +29,7 @@ from .cusps import (
     middle_twist_orbit,
     sh_incidence,
 )
-from .errors import ConfigError, GenusHypothesisFails
+from .errors import ConfigError, FormulaMismatch, GenusHypothesisFails, InconsistentType
 from .groups import generate
 from .lifting import (
     factor_through_pairs,
@@ -522,7 +522,7 @@ def criterion_14() -> list[Check]:
         for o in orbits:
             for c in cusp_orbits(o):
                 classify_cusp(c, 2)
-    except Exception:
+    except InconsistentType:
         constancy = False
     out.append(Check("c14.cusp-type-constancy", constancy))
     # middle twist formula vs iteration on all pairs from golden groups
@@ -539,7 +539,7 @@ def criterion_14() -> list[Check]:
                         continue
                     middle_twist_orbit(a, b)
                     pairs += 1
-    except Exception:
+    except FormulaMismatch:
         formula_ok = False
     out.append(Check("c14.middle-twist-formula", formula_ok, f"{pairs} pairs"))
     # non-p-perfect emptiness (Z/6, p=2, order-3 classes)

@@ -256,9 +256,6 @@ class ClassColumns(SequenceABC):
             return list(map(self._view, range(len(self))[i]))
         return self._view(range(len(self))[i])
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
     def __eq__(self, other):
         columns = [a for a in self.__slots__ if a[0] != "_"]
         return type(other) is type(self) and all(
@@ -274,14 +271,6 @@ class InnerClasses(ClassColumns):
 
     def __init__(self, group: FiniteGroup, canonicals: list, orbit_size: int):
         self.group, self.canonicals, self.orbit_size = group, canonicals, orbit_size
-
-    @classmethod
-    def of(cls, classes: Sequence[InnerClass]) -> InnerClasses:
-        """The columns of InnerClass records of one level, in any order."""
-        sizes = {c.orbit_size for c in classes}
-        if len(sizes) != 1:
-            raise ConfigError("the inner classes of one level share one orbit size")
-        return cls(classes[0].group, sorted(c.canonical for c in classes), sizes.pop())
 
     def __len__(self) -> int:
         return len(self.canonicals)
@@ -407,13 +396,15 @@ def enumerate_nielsen(group: FiniteGroup, C: ClassMultiset) -> list[NielsenTuple
     return [NielsenTuple(group, ids) for ids in tuples]
 
 
-def inner_classes(group: FiniteGroup, C: ClassMultiset) -> list[InnerClass]:
+def inner_classes(group: FiniteGroup, C: ClassMultiset) -> InnerClasses:
     """Conjugation classes of ni(G, C), each held by its least tuple, from
-    the raw tuples: the reference for nielsen_inner_classes."""
-    return [
-        InnerClass(group, orbit[0], len(orbit))
-        for orbit in _generating_orbits(group, C)
-    ]
+    the raw tuples: the reference for nielsen_inner_classes.  The orbits
+    share one size, or ConfigError; an empty level takes |G| / |Z(G)|."""
+    orbits = _generating_orbits(group, C)
+    sizes = set(map(len, orbits)) or {group.order // len(group.center_ids())}
+    if len(sizes) != 1:
+        raise ConfigError("the inner classes of one level share one orbit size")
+    return InnerClasses(group, [orbit[0] for orbit in orbits], sizes.pop())
 
 
 def nielsen_inner_classes(

@@ -87,3 +87,22 @@ def test_c13_congruence_screens():
 
 def test_c14_property_suites():
     _run("c14")
+
+
+def test_c14_reads_only_its_typed_errors_as_failed_checks(monkeypatch):
+    # a cusp-type defect is a failed sub-check; an unrelated error is not
+    import nielsen_forge.goldens as goldens
+    from nielsen_forge.errors import InconsistentType
+
+    def raising(exc):
+        def classify_cusp(cusp, p):
+            raise exc
+
+        return classify_cusp
+
+    monkeypatch.setattr(goldens, "classify_cusp", raising(KeyError(0)))
+    with pytest.raises(KeyError):
+        goldens.criterion_14()
+    monkeypatch.setattr(goldens, "classify_cusp", raising(InconsistentType("mixed")))
+    failed = [c.name for c in goldens.criterion_14() if not c.ok]
+    assert failed == ["c14.cusp-type-constancy"]

@@ -2,6 +2,7 @@ import pytest
 
 from nielsen_forge import perm as P
 from nielsen_forge.braid import (
+    ReducedClasses,
     apply_braid,
     braid_orbits,
     braid_orbits_r3,
@@ -11,6 +12,7 @@ from nielsen_forge.braid import (
 from nielsen_forge.errors import RankNotFour
 from nielsen_forge.nielsen import (
     ClassMultiset,
+    InnerClasses,
     NielsenTuple,
     enumerate_nielsen,
     inner_classes,
@@ -173,6 +175,23 @@ def test_singleton_orbit_degenerate_case():
     cusps = cusp_orbits(orbits[0])
     assert [c.width for c in cusps] == [1]
     assert genus(orbits[0]).genus == 0
+
+
+def test_an_empty_level_is_an_empty_record():
+    # the involutions of A(4) generate V4, so no tuple in 2:4 or 2:3 is in
+    # a Nielsen class: each stage takes and returns an empty record
+    from nielsen_forge.config import parse_class_selector
+
+    A4 = alternating(4)
+    C = parse_class_selector(A4, "2:4")
+    inner = nielsen_inner_classes(A4, C)
+    assert inner == inner_classes(A4, C) and len(inner) == 0
+    reduced = reduced_classes(inner)
+    assert type(reduced) is ReducedClasses and len(reduced) == 0
+    assert braid_orbits(reduced) == []
+    inner3 = nielsen_inner_classes(A4, parse_class_selector(A4, "2:3"))
+    assert type(inner3) is InnerClasses and len(inner3) == 0
+    assert braid_orbits_r3(inner3) == []
 
 
 def test_gamma_maps_are_permutations_of_members():
@@ -397,8 +416,7 @@ def test_braid_table_escape_raises_typed_error():
     # a Q''-orbit is closed under Q'' but its sh or q2 image leaves it
     from nielsen_forge.errors import ClassListEscape
 
-    _, _, inner = _a4_setup()
-    by_canon = {c.canonical: c for c in inner}
+    A4, _, inner = _a4_setup()
     leaving = [
         r
         for r in reduced_classes(inner)
@@ -406,43 +424,55 @@ def test_braid_table_escape_raises_typed_error():
     ]
     assert leaving
     with pytest.raises(ClassListEscape) as err:
-        reduced_classes([by_canon[t] for t in leaving[0].inner_canonicals])
+        reduced_classes(
+            InnerClasses(A4, list(leaving[0].inner_canonicals), inner.orbit_size)
+        )
     assert err.value.code == 25
 
 
-def test_braid_orbits_escape_when_a_class_is_removed_from_the_middle():
-    # the targets are positions in the list reduced_classes returned, so a
-    # list with a class taken out raises, even where it stays sorted and
-    # every target stays in range
-    from dataclasses import replace
+def _reduced_record(reduced, kept, q2, sh):
+    """A ReducedClasses record of the A(4) classes reduced[r], r in kept, in
+    that order, with q2 and sh as its target columns; every A(4) class
+    holds two inner classes."""
+    inner = [t for r in kept for t in reduced.inner_canonicals(r)]
+    n = len(inner)
+    return ReducedClasses(
+        reduced.group,
+        inner,
+        reduced.orbit_size,
+        list(range(n)),
+        list(range(0, n + 1, 2)),
+        [i // 2 for i in range(n)],
+        q2,
+        sh,
+    )
 
+
+def test_braid_orbits_escape_when_a_class_is_removed_from_the_middle():
+    # the targets are positions in the record reduced_classes returned: with
+    # a class taken out and the targets left as they were, the last
+    # position is gone, and a target that reads it leaves the record
     from nielsen_forge.errors import ClassListEscape
 
     _, _, inner = _a4_setup()
     reduced = reduced_classes(inner)
-    for j in range(1, len(reduced) - 1):
-        with pytest.raises(ClassListEscape):
-            braid_orbits(reduced[:j] + reduced[j + 1 :])
-    # class 0 fixed by q2 and sh, which swap classes 1 and 2: without
-    # class 1, class 2 sits at position 1 and its targets still read 1
-    a, b, c = reduced[:3]
-    rewired = [
-        replace(a, q2_target=0, sh_target=0),
-        replace(b, q2_target=2, sh_target=2),
-        replace(c, q2_target=1, sh_target=1),
-    ]
-    assert [o.size for o in braid_orbits(rewired)] == [2, 1]
-    with pytest.raises(ClassListEscape) as err:
-        braid_orbits([rewired[0], rewired[2]])
-    assert err.value.code == 25
+    n = len(reduced)
+    for j in range(1, n - 1):
+        kept = [r for r in range(n) if r != j]
+        dropped = _reduced_record(
+            reduced, kept, [reduced.q2[r] for r in kept], [reduced.sh[r] for r in kept]
+        )
+        with pytest.raises(ClassListEscape) as err:
+            braid_orbits(dropped)
+        assert err.value.code == 25
 
 
 def test_q2_escape_raises_typed_error():
     from nielsen_forge.errors import ClassListEscape
 
-    _, _, inner = _a4_setup()  # every Q''-orbit has length 2 here
+    A4, _, inner = _a4_setup()  # every Q''-orbit has length 2 here
     with pytest.raises(ClassListEscape) as err:
-        reduced_classes(inner[:1])
+        reduced_classes(InnerClasses(A4, inner.canonicals[:1], inner.orbit_size))
     assert err.value.code == 25
 
 
@@ -480,12 +510,20 @@ except BraidInvariantBroken as exc:
 
 
 def test_braid_orbits_reject_a_list_reduced_classes_did_not_return():
-    # gamma_inf and gamma_1 are read off positions in the sorted list
+    # gamma_inf and gamma_1 are read off the target columns of the record.
+    # Class 0 fixed by q2 and sh, which swap classes 1 and 2: without
+    # class 2, class 1's targets still read 2, outside the record
     from nielsen_forge.errors import ClassListEscape
 
     _, _, inner = _a4_setup()
     red = reduced_classes(inner)
-    for wrong in (red[::-1], red[:-1]):
+    rewired = _reduced_record(red, [0, 1, 2], [0, 2, 1], [0, 2, 1])
+    assert [o.size for o in braid_orbits(rewired)] == [2, 1]
+    last = len(red) - 1
+    for wrong in (
+        _reduced_record(red, [0, 1], [0, 2], [0, 2]),
+        _reduced_record(red, range(last), red.q2[:last], red.sh[:last]),
+    ):
         with pytest.raises(ClassListEscape) as err:
             braid_orbits(wrong)
         assert err.value.code == 25
@@ -556,7 +594,7 @@ def test_absolute_reduced_classes_keep_a_repeated_class_once():
         nielsen_inner_classes(A5, parse_class_selector(A5, "5+:2,5-:2"))
     )
     once = absolute_reduced_classes(reduced, [swap])
-    twice = absolute_reduced_classes(reduced + [reduced[0]], [swap])
+    twice = absolute_reduced_classes(list(reduced) + [reduced[0]], [swap])
     assert [[c.canonical for c in b] for b in twice] == [
         [c.canonical for c in b] for b in once
     ]

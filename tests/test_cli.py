@@ -623,3 +623,23 @@ def test_a_run_builds_the_top_level_parser_and_one_subcommand(capsys, monkeypatc
     )
     assert code == 0
     assert built == ["nielsen-forge", "nielsen-forge report"]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["report"]])
+def test_the_ladder_script_refuses_arguments_without_running(args):
+    # scripts/ladder.py takes no arguments; a run of its entries takes
+    # minutes, so a refusal must come back at once
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"
+    out = subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: python scripts/ladder.py")

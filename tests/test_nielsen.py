@@ -87,6 +87,22 @@ def test_enumerate_matches_fast_inner_path():
     assert [c.orbit_size for c in slow53] == [c.orbit_size for c in fast53]
 
 
+def test_reference_refuses_orbits_of_two_sizes(monkeypatch):
+    # the raw-tuple reference holds one orbit size for its level, so it
+    # checks every orbit against it instead of keeping the first
+    import nielsen_forge.nielsen as N
+
+    A4, C = _a4_classes()
+    orbits = N._generating_orbits(A4, C)
+    assert {len(o) for o in orbits} == {12}
+    monkeypatch.setattr(
+        N, "_generating_orbits", lambda group, C: [orbits[0], orbits[1][:6]]
+    )
+    with pytest.raises(ConfigError) as err:
+        inner_classes(A4, C)
+    assert err.value.code == 2
+
+
 @pytest.mark.parametrize(
     "spec, classes, fallback_generates",
     [

@@ -3,8 +3,8 @@
 Each case runs `cli.main` on one argv, in process, and its standard output
 (and, for a tower, the DOT file it writes) must equal the file of the same
 name in tests/snapshots/, byte for byte.  The reports are the small-sweep
-benchmark jobs and two r = 3 inputs with several H3 orbits, in every format;
-the focused commands run on one input.
+benchmark jobs, two r = 3 inputs with several H3 orbits and one empty level,
+in every format; the focused commands run on one input.
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python scripts/update_snapshots.py` and say why in
@@ -43,6 +43,8 @@ REPORTS = {
     "a6-r3-6666": (
         "--group A(6) --classes '(2 3 4 5 6):1,(2 3 4 6 5):1,(1 2)(3 4 5 6):1' --prime 2"
     ),
+    # no Nielsen class: the involutions of A(4) generate V4
+    "a4-empty": "--group A(4) --classes 2:4 --prime 2",
 }
 
 TOWERS = {

@@ -166,6 +166,39 @@ def test_every_level_is_built_by_run_pipeline():
     assert dossier_callers == ["report.py"]
 
 
+def test_levels_enter_the_braid_pipeline_only_as_records():
+    # reduced_classes, braid_orbits and braid_orbits_r3 take and return
+    # InnerClasses/ReducedClasses records: nothing builds one from a list of
+    # class views, concatenates records into a list or tells them apart
+    trees = _library_trees()
+    levels = {"ClassColumns", "InnerClasses", "ReducedClasses"}
+    classes = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and (node.name == "ClassColumns" or {ast.unparse(b) for b in node.bases} & levels)
+    ]
+    assert {c.name for c in classes} == levels
+    adapters = [
+        f"{c.name}.{fn.name}"
+        for c in classes
+        for fn in c.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("of", "__add__")
+    ]
+    type_tests = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and levels & set(_names_used(node.args[1]))
+    ]
+    assert adapters == []
+    assert type_tests == []
+
+
 def _record_fields(cls: ast.ClassDef):
     """A dataclass's fields and the attributes its __init__ sets on self."""
     if any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
