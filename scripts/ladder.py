@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time the scale ladder: each entry is one `nielsen_forge.cli.main` run.
 
-Usage: python scripts/ladder.py
+Usage: python scripts/ladder.py [INDEX]
 
-It takes no arguments: given any, it prints the usage line to standard
-error and exits 2 without running an entry.
+With no argument it runs every entry; with one INDEX, a position in LADDER
+counted from 0, it runs that entry alone.  Given anything else, it prints
+the usage line to standard error and exits 2 without running an entry.
 
 Every entry runs in its own Python process, so peak RSS belongs to that run
 alone, and the report it prints is captured and dropped.  One JSON line per
@@ -87,20 +88,24 @@ CHILD = (
 )
 
 
-USAGE = "usage: python scripts/ladder.py  (takes no arguments)"
+USAGE = (
+    "usage: python scripts/ladder.py [INDEX]  "
+    f"(INDEX 0-{len(LADDER) - 1} runs that entry alone)"
+)
 
 
 def main(argv: list[str]) -> int:
-    if argv:
+    if len(argv) > 1 or not set(argv) <= {str(i) for i in range(len(LADDER))}:
         print(USAGE, file=sys.stderr)
         return 2
+    entries = [LADDER[int(argv[0])]] if argv else LADDER
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "scripts"), str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     failed = 0
-    for argv in LADDER:
+    for argv in entries:
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, *argv],
             env=env, capture_output=True, text=True, check=False,

@@ -126,24 +126,38 @@ def _braid_table(
     group: FiniteGroup, keys: Sequence[tuple[int, ...]]
 ) -> tuple[list[int], list[int]]:
     """sh and q2 on the sorted inner canonicals of any rank r >= 3, as
-    position arrays, all images canonicalized in one canon_many call."""
+    position arrays.
+
+    q2 is read off q_{r-1} = (..., t_{r-1} t_r t_{r-1}^-1, t_{r-1}) as
+    sh^(r-3) q_{r-1} sh^-(r-3).  q_{r-1} keeps the first entry, so an image
+    whose second entry is free for it (the free-pair rule) is already
+    canonical and looked up as it is; for r >= 4 that is every image of a
+    canonical whose first two entries are a free pair.  Every other image
+    goes through canon_many.
+    """
+    if not keys:
+        return [], []
+    ctx = canonical_context(group)
     tab, inv = group.mul_table, group.inv
-    images = canonical_context(group).canon_many(
-        chain(
-            (t[1:] + t[:1] for t in keys),
-            # q2 = (t1, t2 t3 t2^-1, t2, ...)
-            ((t[0], tab[tab[t[1]][t[2]]][inv[t[1]]], t[1]) + t[3:] for t in keys),
-        )
-    )
-    index = {t: i for i, t in enumerate(keys)}
+    free = ctx.free_seconds([group.class_of(x) for x in keys[0]])
+    at = {t: i for i, t in enumerate(keys)}.__getitem__
     try:
-        moved = list(map(index.__getitem__, images))
+        sh = list(map(at, ctx.canon_many(t[1:] + t[:1] for t in keys)))
+        images = [t[:-2] + (tab[tab[t[-2]][t[-1]]][inv[t[-2]]], t[-2]) for t in keys]
+        known = [u[1] in free.get(u[0], ()) for u in images]
+        forms = ctx.canon_many(u for u, k in zip(images, known) if not k)
+        q_last = [at(u if k else next(forms)) for u, k in zip(images, known)]
     except KeyError:
         raise ClassListEscape(
             "braid action left the supplied inner class list"
         ) from None
-    n = len(keys)
-    return moved[:n], moved[n:]
+    shift = range(len(keys))
+    for _ in range(len(keys[0]) - 3):
+        shift = [sh[j] for j in shift]
+    q2 = [0] * len(keys)
+    for i, j in enumerate(shift):
+        q2[j] = shift[q_last[i]]
+    return sh, q2
 
 
 def _q2_generators(sh: list[int], q2: list[int]) -> tuple[list[int], list[int]]:

@@ -142,6 +142,21 @@ class CanonicalContext:
             ]
         return out
 
+    def free_seconds(self, classes: Sequence[ConjClass]) -> dict[int, set[int]]:
+        """The free-pair rule for tuples in the given classes, repeats
+        included: for the minimum m of each class, the b in the other
+        entries' classes that are least in their Cent(m)-orbit with
+        stabilizer Z(G).  Only the center keeps m and such b least, so a
+        tuple (m, b, ...) is its own canonical form."""
+        z = len(self.center)
+        free: dict[int, set[int]] = {}
+        for i, cls in enumerate(classes):
+            seconds = free.setdefault(cls.member_ids[0], set())
+            for other in classes[:i] + classes[i + 1 :]:
+                orbits = self.centralizer_orbits(cls.member_ids[0], other)
+                seconds.update(b for b, n in orbits if n == z)
+        return free
+
     def pair_order(self, x: int, y: int) -> int:
         """|<x, y>|, one closure per conjugacy class of the sorted pair and
         one canonicalization per sorted pair."""
@@ -435,13 +450,13 @@ def nielsen_inner_classes(
     if C.r < 3:
         raise ConfigError("Nielsen classes need r >= 3")
     ctx = canonical_context(group)
-    z = len(ctx.center)
-    orbit_size = group.order // z
+    orbit_size = group.order // len(ctx.center)
     if below is not None:
         lifts = _frattini_lifts(group, C, *below)
         return InnerClasses(group, sorted(lifts), orbit_size)
     verdict: dict[tuple[int, ...], bool] = {}
     gen_cache: dict[frozenset[int], bool] = {}
+    free = ctx.free_seconds(C.classes_with_repeats)
 
     def cached_generates(ids: tuple[int, ...]) -> bool:
         key = frozenset(ids)
@@ -452,12 +467,10 @@ def nielsen_inner_classes(
 
     for pattern in _patterns(C):
         m = pattern[0].member_ids[0]
-        reps = ctx.centralizer_orbits(m, pattern[1])
-        free = {b for b, stab in reps if stab == z}
-        seconds = [b for b, _ in reps]
+        seconds = [b for b, _ in ctx.centralizer_orbits(m, pattern[1])]
         cands = _product_one_candidates(group, pattern, (m,), seconds)
-        fixed = [ids for ids in cands if ids[1] in free]
-        moved = [ids for ids in cands if ids[1] not in free]
+        fixed = [ids for ids in cands if ids[1] in free[m]]
+        moved = [ids for ids in cands if ids[1] not in free[m]]
         # a form keeps its candidate's second entry, the least of its
         # Cent(m)-orbit, so no form comes from both lists and each form
         # still meets first the same raw tuple as in one pass
@@ -480,18 +493,20 @@ def _frattini_lifts(group: FiniteGroup, C: ClassMultiset, psi: GroupHom, lower) 
     Every class has such a T, and a lift of a generating tuple through a
     Frattini cover generates, so nothing is tested.  The p' lifts of t1 in
     its class are conjugate under ker psi (Schur-Zassenhaus), which fixes
-    psi(T), so T1 is one fixed lift; the last entry is forced.
+    psi(T), so T1 is one fixed lift; the last entry is forced.  A lift
+    whose first two entries are a free pair is kept as it is.
     """
     ctx = canonical_context(group)
     members = {x for cls, _ in C.entries for x in cls.member_ids}
     fiber = [[x for x in f if x in members] for f in psi.fibers]
-
-    # psi(last) = t[-1], so the last entry is in the matched class iff in C
-    lifts = (
-        _product_one(group, fiber[t[0]][:1], [fiber[x] for x in t[1:-1]], members)
-        for t in lower
-    )
-    return set(ctx.canon_many(chain.from_iterable(lifts)))
+    free = ctx.free_seconds(C.classes_with_repeats)
+    forms = set()
+    for t in lower:
+        # psi(last) = t[-1], so the last entry is in the matched class iff in C
+        lifts = _product_one(group, fiber[t[0]][:1], [fiber[x] for x in t[1:-1]], members)
+        forms.update(T for T in lifts if T[1] in free.get(T[0], ()))
+        forms.update(ctx.canon_many(T for T in lifts if T[1] not in free.get(T[0], ())))
+    return forms
 
 
 def check_automorphisms(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import perm as P
 from .braid import BraidOrbit, braid_orbits, braid_orbits_r3, reduced_classes
@@ -158,6 +158,34 @@ def cusp_json(c: CuspSummary) -> dict:
     }
 
 
+def json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=1, sort_keys=True), the same text, for dicts
+    with str keys, lists, tuples, str, int, bool and None; anything else
+    raises TypeError.  pad is the newline and indent of obj's own line.
+    json runs its pure-Python encoder whenever an indent is given."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + " "
+    if isinstance(obj, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not str
+        enc = encode_basestring_ascii
+        items = [f"{enc(key)}: {json_text(obj[key], inner)}" for key in sorted(obj)]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        flat = all(type(x) is int for x in obj)
+        items = map(int.__repr__, obj) if flat else [json_text(x, inner) for x in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def render_json(result: PipelineResult) -> str:
     g = result.group
     doc: dict = {
@@ -180,7 +208,7 @@ def render_json(result: PipelineResult) -> str:
             }
             for i, o in enumerate(result.h3_orbits)
         ]
-        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        return json_text(doc) + "\n"
     doc["reduced_classes"] = result.reduced_count
     comps = []
     for d in result.dossiers:
@@ -242,7 +270,7 @@ def render_json(result: PipelineResult) -> str:
             }
         )
     doc["components"] = comps
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return json_text(doc) + "\n"
 
 
 def render_csv(result: PipelineResult) -> str:

@@ -8,7 +8,6 @@ with the width-growth and g-p' persistence checks evaluated on every edge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
@@ -21,7 +20,7 @@ from .errors import ClassListEscape, ConfigError, MultiplePrimeClasses, NotPGrou
 from .groups import FiniteGroup, GroupHom, is_p_power
 from .lifting import CentralExtension, is_frattini_cover
 from .nielsen import ClassMultiset, canonical_context, nielsen_inner_classes
-from .report import PipelineResult, cusp_json, run_pipeline
+from .report import PipelineResult, cusp_json, json_text, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -309,4 +308,4 @@ def build_graph(
 
 
 def export_json(graph: TowerGraph) -> str:
-    return json.dumps(graph.to_json(), indent=1, sort_keys=True) + "\n"
+    return json_text(graph.to_json()) + "\n"

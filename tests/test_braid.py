@@ -398,18 +398,55 @@ def test_reduction_and_orbits_canonicalize_a_bounded_number_of_times():
     assert ctx.canonicalized - before <= 8 * len(inner)
 
 
-def test_reduction_and_orbits_canonicalize_twice_per_inner_class():
-    # sh and q2 are tabled with one canonicalization each; Q'' and the gamma
-    # arrays are read off that table
+def test_reduction_and_orbits_canonicalize_once_per_inner_class_and_tied_pair():
+    # sh is tabled with one canonicalization per inner class; q3 keeps the
+    # first two entries, so its image is canonicalized only where they are a
+    # tied pair, fixed by more of the group than the center.  Q'' and the
+    # gamma arrays are read off that table
     from nielsen_forge.nielsen import canonical_context
 
     D25 = dihedral(25)
     inv = [c for c in D25.conjugacy_classes() if c.element_order == 2][0]
     inner = nielsen_inner_classes(D25, ClassMultiset([(inv, 4)]))
+    z = len(D25.center_ids())
+    tied = sum(
+        sum(D25.conj(t[0], h) == t[0] and D25.conj(t[1], h) == t[1] for h in range(D25.order))
+        > z
+        for t in inner.canonicals
+    )
     ctx = canonical_context(D25)
     before = ctx.canonicalized
     braid_orbits(reduced_classes(inner))
-    assert ctx.canonicalized - before == 2 * len(inner)
+    assert ctx.canonicalized - before == len(inner) + tied == 310
+
+
+# one input of each rank r = 3..6; for r >= 5, q2 is read off q_{r-1}
+# through sh^(r-3)
+TABLE_RANK_CASES = [
+    ("A(5)", "5+:1,5-:1,3:1"),
+    ("A(4)", "3+:2,3-:2"),
+    ("D(25)", "2:4"),
+    ("A(5)", "3:5"),
+    ("S(4)", "(1 2):4,(1 2 3):1"),
+    ("A(4)", "3+:3,3-:3"),
+    ("D(9)", "2:6"),
+]
+
+
+@pytest.mark.parametrize("spec, classes", TABLE_RANK_CASES)
+def test_braid_table_matches_each_move_canonicalized_alone(spec, classes):
+    from nielsen_forge.braid import _braid_table, _twist
+    from nielsen_forge.nielsen import canonical_context
+    from per_move import shift_ids
+
+    G, inner = _case_inner(spec, classes)
+    keys = inner.canonicals
+    ctx = canonical_context(G)
+    sh, q2 = _braid_table(G, keys)
+    assert len(sh) == len(q2) == len(keys)
+    for i, t in enumerate(keys):
+        assert keys[sh[i]] == ctx.canon(shift_ids(t))
+        assert keys[q2[i]] == ctx.canon(_twist(G, t, 1, +1))
 
 
 def test_braid_table_escape_raises_typed_error():

@@ -625,10 +625,11 @@ def test_a_run_builds_the_top_level_parser_and_one_subcommand(capsys, monkeypatc
     assert built == ["nielsen-forge", "nielsen-forge report"]
 
 
-@pytest.mark.parametrize("args", [["--help"], ["report"]])
+@pytest.mark.parametrize("args", [["--help"], ["report"], ["6"], ["-1"], ["0", "1"]])
 def test_the_ladder_script_refuses_arguments_without_running(args):
-    # scripts/ladder.py takes no arguments; a run of its entries takes
-    # minutes, so a refusal must come back at once
+    # scripts/ladder.py takes at most one argument, the index of one of its
+    # six entries; a run of its entries takes minutes, so a refusal must
+    # come back at once
     import subprocess
     import sys
     from pathlib import Path
@@ -643,3 +644,25 @@ def test_the_ladder_script_refuses_arguments_without_running(args):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("usage: python scripts/ladder.py")
+
+
+def test_the_ladder_script_runs_one_entry_by_index():
+    # entry 0, the D(243) report, is the shortest; it runs alone in its own
+    # process and prints its one JSON line
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    [line] = out.stdout.splitlines()
+    record = json.loads(line)
+    assert record["command"] == "report --group 'D(243)' --classes 2:4 --prime 3"
+    assert record["exit"] == 0

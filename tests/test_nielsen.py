@@ -478,6 +478,35 @@ def test_canon_many_matches_brute_force_minimum(spec, pick):
     assert [ctx.canon(t) for t in tuples[::97]] == _brute_force_canon(G, tuples[::97])
 
 
+@pytest.mark.parametrize(
+    "spec, classes",
+    [
+        ("D(25)", "2:4"),
+        ("A(5)", "3:4"),
+        ("SL23", "3+:2,3-:2"),
+        ("V2xPM(3)", "2:4"),
+        ("S(4)", "(1 2):2,(1 2 3):2"),
+    ],
+)
+def test_free_pair_rule_keeps_only_brute_force_minima(spec, classes):
+    # the braid table and the Frattini lift keep a tuple as it is when its
+    # first entry is a class minimum m and its second is free for m;
+    # every product-one tuple in C of that shape is checked against the
+    # minimum over all of G
+    from nielsen_forge.nielsen import _patterns, _product_one_candidates
+
+    G, _ = group_from_string(spec)
+    C = parse_class_selector(G, classes)
+    free = canonical_context(G).free_seconds(C.classes_with_repeats)
+    kept = []
+    for pattern in _patterns(C):
+        m = pattern[0].member_ids[0]
+        seconds = sorted(free[m] & pattern[1].member_set)
+        kept += _product_one_candidates(G, pattern, (m,), seconds)
+    assert kept
+    assert kept == _brute_force_canon(G, kept)
+
+
 def test_canon_many_matches_brute_force_minimum_without_the_table(monkeypatch):
     import nielsen_forge.groups as groups
 

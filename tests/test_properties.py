@@ -1,7 +1,7 @@
 """Invariant and property checks, randomized where enumeration is too big."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nielsen_forge import perm as P
@@ -244,3 +244,35 @@ def test_reduce_p_center_chain_properties():
             k //= 2
         assert k == 1
     assert p_part_of_center(chain[-1][0], 2) == []
+
+
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(json_docs)
+@example("café   \ud800 \U0001f600")
+@example('"quote" \\ back \n\t\r\x00\x1f\x7f')
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ()]})
+@example([1, True, False, None, 0, -7])
+@example({"z": {"y": [{"x": [1, 2]}, "w"]}, "a": [True, [False]]})
+def test_json_text_matches_json_dumps_with_indent_one(doc):
+    import json
+
+    from nielsen_forge.report import json_text
+
+    assert json_text(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, {1: 2}, {None: 1}, {1, 2}, object(), [b"x"]])
+def test_json_text_refuses_what_it_cannot_write(doc):
+    from nielsen_forge.report import json_text
+
+    with pytest.raises(TypeError):
+        json_text(doc)

@@ -220,30 +220,52 @@ def test_frattini_lift_canonicalizes_once_per_candidate(classes):
     # the candidates over t: T1 one lift of t1 (any lift gives the same
     # count, the lifts being conjugate under the kernel), T2 and T3 every
     # lift, T4 forced and kept in the class; a class repeated in C must
-    # not repeat candidates
+    # not repeat candidates.  The lift takes T1 least; when T1 is its class
+    # minimum, a candidate whose T2 is least in its Cent(T1)-orbit, with the
+    # center as stabilizer, is its own canonical form and is not
+    # canonicalized (the free-pair rule, here checked by brute force)
     links, Cs = _matched_levels("D(5),D(25),D(125)", classes, 5)
     lower = nielsen_inner_classes(Cs[0].group, Cs[0])
     for lm, C in zip(links, Cs[1:]):
         G, psi = C.group, lm.psi.full_map
         members = set(C.entries[0][0].member_ids)
+        z = len(G.center_ids())
 
         def lifts(x):
             return [y for y in range(G.order) if psi[y] == x and y in members]
 
-        expect = 0
+        def free(a, b):
+            if a != min(G.conj(a, h) for h in range(G.order)):
+                return False
+            cent = [h for h in range(G.order) if G.conj(a, h) == a]
+            orbit = [G.conj(b, h) for h in cent]
+            return b == min(orbit) and orbit.count(b) == z
+
+        expect = moved = 0
         for t in (c.canonical for c in lower):
-            a = lifts(t[0])[-1]
-            expect += sum(
-                G.inv[G.word((a, b, c))] in members
-                for b in lifts(t[1])
-                for c in lifts(t[2])
-            )
+            a = lifts(t[0])[0]
+            for b in lifts(t[1]):
+                n = sum(G.inv[G.word((a, b, c))] in members for c in lifts(t[2]))
+                expect += n
+                moved += 0 if free(a, b) else n
         ctx = canonical_context(G)
         before = ctx.canonicalized
         lifted = nielsen_inner_classes(G, C, (lm.psi, [c.canonical for c in lower]))
-        assert ctx.canonicalized - before == expect
+        assert 0 < moved < expect
+        assert ctx.canonicalized - before == moved
         assert len({c.canonical for c in lifted}) == len(lifted) == expect
         lower = lifted
+
+
+def test_dihedral_tower_canonicalizes_a_pinned_number_of_tuples():
+    # the chain of the dihedral-tower benchmark, counted per level: the
+    # enumeration or lift, the sh/q2 table and the cusp typing together
+    base, homs = chain_from_specs(["D(5)", "D(25)", "D(125)"])
+    C = parse_class_selector(base, "2:4")
+    graph = build_graph([LevelMap(h, 5) for h in homs], C, 5)
+    levels = [base] + [h.source for h in homs]
+    assert [lv.inner_count for lv in graph.levels] == [12, 300, 7500]
+    assert [canonical_context(g).canonicalized for g in levels] == [51, 632, 10651]
 
 
 def _spy_on_lifts(monkeypatch):
